@@ -36,7 +36,6 @@ from .geometry import (
     BeamProfile,
     ConeAperture,
     DipoleOrientation,
-    DipolePattern,
     ParabolicMirror,
     RayMapping,
     Recollimation,
@@ -108,7 +107,6 @@ __all__ = [
     "BeamProfile",
     "ConeAperture",
     "DipoleOrientation",
-    "DipolePattern",
     "ParabolicMirror",
     "RayMapping",
     "Recollimation",

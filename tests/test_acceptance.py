@@ -17,7 +17,6 @@ from atomphase import (
     BeamProfile,
     ConeAperture,
     DipoleOrientation,
-    DipolePattern,
     ParabolicMirror,
     PhaseBranch,
     SymmetricCoupling,
@@ -38,6 +37,7 @@ from atomphase import (
 )
 from atomphase.cli import main as cli_main
 from atomphase.sweep import CSV_COLUMNS, figure_preset
+from oracles import DipolePattern
 
 FULL = SymmetricCoupling(omega_n=1.0, eta=1.0)
 OBJECTIVE = SymmetricCoupling(omega_n=0.38, eta=1.0)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,21 @@ class TestGeometry:
         code, _, _ = run_cli(capsys, "geometry", "mirror", "--f", "1",
                              "--R", "2", "--hole", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--f", "nan", "--R", "4", "--hole", "0.2"),
+        ("--f", "1", "--R", "inf", "--hole", "0.2", "--profile", "flattop"),
+        ("--f", "1", "--R", "4", "--hole", "nan", "--profile", "matched"),
+        ("--f", "1", "--R", "4", "--hole", "0.2", "--profile", "doughnut:nan"),
+        ("--f", "1", "--R", "4", "--hole", "0.2", "--profile", "doughnut:inf"),
+    ])
+    def test_non_finite_input_is_domain_error(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "geometry", "mirror", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_degenerate_mirror_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "geometry", "mirror", "--f", "1",

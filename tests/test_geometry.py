@@ -16,7 +16,6 @@ from atomphase import (
     ConeAperture,
     DegenerateResultError,
     DipoleOrientation,
-    DipolePattern,
     DomainError,
     FULL_DIPOLE_SOLID_ANGLE,
     ParabolicMirror,
@@ -28,6 +27,8 @@ from atomphase import (
     pupil_dipole_profile,
     recollimation_parameters,
 )
+from atomphase import geometry
+from oracles import DipolePattern
 
 AXIAL = DipoleOrientation.AXIAL
 TRANSVERSE = DipoleOrientation.TRANSVERSE
@@ -321,6 +322,11 @@ class TestOverlap:
         with pytest.raises(DegenerateResultError):
             overlap_eta(silent, self.MIRROR)
 
+    def test_underflowing_region_degenerate(self):
+        # both norms are positive but their product underflows
+        with pytest.raises(DegenerateResultError):
+            overlap_eta(BeamProfile.flat_top(), self.MIRROR, (0.0, 1e-80))
+
     def test_bad_region_rejected(self):
         with pytest.raises(DomainError):
             overlap_eta(BeamProfile.flat_top(), self.MIRROR, (3.0, 2.0))
@@ -409,3 +415,177 @@ class TestOptimizeWaist:
     def test_bad_bracket_rejected(self):
         with pytest.raises(DomainError):
             optimize_waist(self.DEEP, bracket=(2.0, 1.0))
+
+
+FLAT = BeamProfile.flat_top()
+MATCHED = BeamProfile.dipole_matched()
+
+
+def oracle_quad(fn, lo, hi, scales=()):
+    """Adaptive quadrature with a purely relative tolerance, split at the
+    decades of each length scale inside the interval."""
+    cuts = sorted(s * 10.0**k for s in scales for k in range(-4, 5)
+                  if lo < s * 10.0**k < hi)
+    bounds = [lo] + cuts + [hi]
+    return sum(quad(fn, a, b, epsabs=0.0, epsrel=2e-14, limit=500)[0]
+               for a, b in zip(bounds, bounds[1:]))
+
+
+def pupil_regions(seed, count):
+    """Seeded pupil annuli in units of f, down to radii of 2e-3 f."""
+    rng = np.random.default_rng(seed)
+    regions = [(0.0, 2e-3), (2e-3, 4e-3), (2e-3, 1.0), (0.0, 50.0), (1.5, 2.5),
+               (30.0, 200.0)]
+    for _ in range(count):
+        lo = 0.0 if rng.uniform() < 0.2 else 2e-3 * 10.0 ** rng.uniform(0.0, 4.0)
+        span = 10.0 ** rng.uniform(-2.7, 2.0)
+        regions.append((lo, lo * 10.0 ** rng.uniform(0.01, 2.0) if lo else span))
+    return regions
+
+
+class TestClosedForms:
+    """Each closed form against quadrature of its original integrand."""
+
+    RTOL = 1e-11
+
+    @pytest.mark.parametrize("f", [0.37, 1.0, 6.1])
+    def test_pupil_integrals(self, f):
+        mirror = ParabolicMirror(focal_length=f, aperture_radius=1e6 * f)
+        dip = lambda d: pupil_dipole_profile(d, mirror)
+        exit_flat = lambda d: 4.0 * f * f / (d * d)
+        closed = {
+            "dipole norm": (lambda lo, hi: geometry._dipole_norm(lo, hi, f),
+                            lambda d: dip(d) ** 2 * d),
+            "flat-top power": (
+                lambda lo, hi: geometry._pupil_power(FLAT, mirror, lo, hi),
+                lambda d: d),
+            "flat-top cross": (
+                lambda lo, hi: geometry._pupil_cross(FLAT, mirror, lo, hi),
+                lambda d: dip(d) * d),
+            "flat-top exit cross": (
+                lambda lo, hi: geometry._exit_cross(FLAT, mirror, lo, hi),
+                lambda d: exit_flat(d) * dip(d) * d),
+            "matched power": (
+                lambda lo, hi: geometry._pupil_power(MATCHED, mirror, lo, hi),
+                lambda d: dip(d) ** 2 * d),
+            "matched exit cross": (
+                lambda lo, hi: geometry._exit_cross(MATCHED, mirror, lo, hi),
+                lambda d: dip(4.0 * f * f / d) * (2.0 * f / d) ** 2 * dip(d) * d),
+        }
+        for lo, hi in pupil_regions(seed=int(f * 100), count=25):
+            lo, hi = lo * f, hi * f
+            for name, (value, integrand) in closed.items():
+                expected = oracle_quad(integrand, lo, hi, scales=(2.0 * f,))
+                assert value(lo, hi) == pytest.approx(expected, rel=self.RTOL, abs=0.0), (
+                    name, lo, hi)
+
+    def test_doughnut_power(self):
+        rng = np.random.default_rng(59)
+        mirror = ParabolicMirror(focal_length=1.0, aperture_radius=1e6)
+        for lo, hi in pupil_regions(seed=61, count=30):
+            w = 10.0 ** rng.uniform(-2.0, 1.0)
+            beam = BeamProfile.doughnut(w)
+            amplitude = beam.pupil_amplitude(mirror)
+            expected = oracle_quad(lambda d: amplitude(d) ** 2 * d, lo, hi,
+                                   scales=(w,))
+            if expected < 1e-250:
+                continue
+            assert geometry._pupil_power(beam, mirror, lo, hi) == pytest.approx(
+                expected, rel=self.RTOL, abs=0.0), (w, lo, hi)
+
+    def test_cone_integrals(self):
+        rng = np.random.default_rng(67)
+        regions = [(0.0, a) for a in (1e-3, 3e-3, 1e-2, 0.1, 1.0, math.pi / 2,
+                                      2.0, math.pi)]
+        regions += [(math.pi - 1e-2, math.pi), (1.0, math.pi - 1e-3), (2.5, 3.0)]
+        for _ in range(30):
+            lo, hi = sorted(rng.uniform(0.0, math.pi, size=2))
+            regions += [(0.0, 10.0 ** rng.uniform(-3.0, math.log10(math.pi))),
+                        (float(lo), float(hi))]
+        for head, power in ((geometry._sin_head, 1), (geometry._sin2_head, 2),
+                            (geometry._sin3_head, 3)):
+            for lo, hi in regions:
+                expected = oracle_quad(lambda t: math.sin(t) ** power, lo, hi)
+                assert geometry._cone_span(head, lo, hi) == pytest.approx(
+                    expected, rel=self.RTOL, abs=0.0), (power, lo, hi)
+
+
+class TestQuadratureOnlyWhereNeeded:
+    MIRRORS = [ParabolicMirror(1.0, 4.0, 0.2), ParabolicMirror(0.3, 9.0),
+               ParabolicMirror(2.0, 30.0, 1.0)]
+    CONES = [ConeAperture(a, AXIAL) for a in (1e-3, 1.0, math.pi / 2, math.pi)]
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature reached")
+        monkeypatch.setattr(geometry, "_quad", refuse)
+
+    def test_flat_top_and_matched_mirrors(self):
+        for mirror in self.MIRRORS:
+            assert 0.0 < overlap_eta(FLAT, mirror) < 1.0
+            recol = recollimation_parameters(mirror, FLAT)
+            assert 0.0 < recol.eta_prime < 1.0 and 0.0 < recol.p <= 1.0
+            assert overlap_eta(MATCHED, mirror) == 1.0
+            assert recollimation_parameters(mirror, MATCHED).eta_prime == 1.0
+
+    def test_flat_top_and_matched_cones(self):
+        for cone in self.CONES:
+            assert 0.0 < overlap_eta(FLAT, cone) < 1.0
+            assert overlap_eta(MATCHED, cone) == 1.0
+
+    def test_doughnut_cross_still_integrates(self):
+        with pytest.raises(AssertionError, match="quadrature reached"):
+            overlap_eta(BeamProfile.doughnut(1.0), self.MIRRORS[0])
+
+
+class TestDoughnutPowerAccuracy:
+    def test_kept_power_fraction_is_exact(self):
+        # The exact p is from a 30-digit evaluation of the power integrals;
+        # segmented quadrature of the narrow ring gave 0.99999983229683.
+        mirror = ParabolicMirror(focal_length=0.09284009685431777,
+                                 aperture_radius=3.0771693156512456,
+                                 hole_radius=0.14689298781033486)
+        recol = recollimation_parameters(
+            mirror, BeamProfile.doughnut(0.04816609791359904))
+        assert abs(recol.p - 0.999999999999297) <= 1e-12
+
+
+class TestNonFiniteInputs:
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_mirror(self, bad):
+        for kwargs in ({"focal_length": bad, "aperture_radius": 4.0},
+                       {"focal_length": 1.0, "aperture_radius": bad},
+                       {"focal_length": 1.0, "aperture_radius": 4.0,
+                        "hole_radius": bad}):
+            with pytest.raises(DomainError):
+                ParabolicMirror(**kwargs)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_doughnut_waist(self, bad):
+        with pytest.raises(DomainError):
+            BeamProfile.doughnut(bad)
+        with pytest.raises(DomainError):
+            BeamProfile(kind="doughnut", waist=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_overlap_region(self, bad):
+        mirror = ParabolicMirror(1.0, 4.0, 0.2)
+        cone = ConeAperture(1.0, AXIAL)
+        for geometry_, region in ((mirror, (0.2, bad)), (mirror, (bad, 4.0)),
+                                  (cone, (0.0, bad)), (cone, (bad, 1.0))):
+            with pytest.raises(DomainError):
+                overlap_eta(FLAT, geometry_, region)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_waist_bracket(self, bad):
+        mirror = ParabolicMirror(1.0, 20.0, 0.4)
+        for bracket in ((0.1, bad), (bad, 20.0)):
+            with pytest.raises(DomainError):
+                optimize_waist(mirror, bracket=bracket)
+
+    def test_unknown_profile_kind(self):
+        with pytest.raises(DomainError):
+            BeamProfile(kind="bessel")

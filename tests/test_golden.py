@@ -1,0 +1,111 @@
+"""Golden bytes: sha256 of every figure CSV and of a fixed sweep matrix.
+
+A refactor that keeps behaviour leaves these bytes untouched; a float
+tolerance cannot tell whether the last printed digit moved.  The matrix
+covers 3 models x 5 sweep variables x csv/json, 101 points per sweep,
+with log-spaced grids (s0 and eta) for every model.
+
+After a deliberate output change, rewrite the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from tempfile import TemporaryDirectory
+
+import pytest
+
+from atomphase.cli import main as cli_main
+from atomphase.sweep import FIGURE_PRESETS
+
+FIXTURE = Path(__file__).with_name("golden_sha256.json")
+
+COUPLINGS = {
+    "symmetric": {"omega_n": 0.94, "eta": 0.98},
+    "asymmetric": {"omega_n": 0.94, "eta": 0.98, "omega_n_prime": 0.88,
+                   "eta_prime": 0.99, "p": 0.97},
+    "kerr": {"omega_n": 0.94, "eta": 0.98},
+}
+
+# (var, start, stop, spacing, fixed)
+SWEEPS = (
+    ("delta", -5.0, 5.0, "linear", {"s0": 0.1}),
+    ("s0", 1e-3, 1e2, "log", {"delta": -1.0}),
+    ("s", 0.0, 2.0, "linear", {"delta": -3.0}),
+    ("omega_n", 0.0, 1.0, "linear", {"delta": 0.0, "s0": 0.2}),
+    ("eta", 1e-2, 1.0, "log", {"delta": -0.5, "s": 0.3}),
+)
+
+CASES = [(model, sweep, fmt) for model in COUPLINGS for sweep in SWEEPS
+         for fmt in ("csv", "json")]
+
+
+def case_name(model, sweep, fmt):
+    return f"sweep-{model}-{sweep[0]}.{fmt}"
+
+
+def sweep_bytes(model, sweep, fmt, workdir):
+    var, start, stop, spacing, fixed = sweep
+    config = {"model": model, "coupling": COUPLINGS[model],
+              "sweep": {"var": var, "start": start, "stop": stop,
+                        "count": 101, "spacing": spacing},
+              "fixed": fixed}
+    path = os.path.join(workdir, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli_main(["sweep", "--config", path, "--format", fmt]) == 0
+    return out.getvalue().encode("utf-8")
+
+
+def figure_files(name, workdir):
+    out = os.path.join(workdir, name)
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(["figures", "--name", name, "--out", out]) == 0
+    return {entry: Path(out, entry).read_bytes() for entry in sorted(os.listdir(out))}
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def record():
+    digests = {}
+    with TemporaryDirectory() as workdir:
+        for name in FIGURE_PRESETS:
+            digests.update({entry: digest(data)
+                            for entry, data in figure_files(name, workdir).items()})
+        for case in CASES:
+            digests[case_name(*case)] = digest(sweep_bytes(*case, workdir))
+    return digests
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", FIGURE_PRESETS)
+def test_figure_bytes(name, golden, tmp_path):
+    files = figure_files(name, str(tmp_path))
+    assert sorted(files) == sorted(e for e in golden if e.startswith(f"{name}-"))
+    for entry, data in files.items():
+        assert digest(data) == golden[entry], entry
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case_name(*case))
+def test_sweep_bytes(case, golden, tmp_path):
+    assert digest(sweep_bytes(*case, str(tmp_path))) == golden[case_name(*case)]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    sys.stdout.write(f"wrote {FIXTURE}\n")
