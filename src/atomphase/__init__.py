@@ -15,7 +15,6 @@ The package splits into four layers:
 from .atom import (
     FULL_DIPOLE_SOLID_ANGLE,
     AtomTransition,
-    Drive,
     NormalizedDrive,
     coherent_fraction,
     excited_state_population,
@@ -88,7 +87,6 @@ __all__ = [
     # atom
     "FULL_DIPOLE_SOLID_ANGLE",
     "AtomTransition",
-    "Drive",
     "NormalizedDrive",
     "coherent_fraction",
     "excited_state_population",

@@ -23,7 +23,6 @@ from .errors import DomainError
 __all__ = [
     "FULL_DIPOLE_SOLID_ANGLE",
     "AtomTransition",
-    "Drive",
     "NormalizedDrive",
     "physical_to_normalized",
     "saturation_at_detuning",
@@ -145,36 +144,6 @@ def physical_to_normalized(
     rabi = e_field * atom.mu / _HBAR
     s0 = 2.0 * rabi**2 / atom.gamma**2
     return NormalizedDrive(e_field=e_field, rabi=rabi, s0=s0)
-
-
-@dataclass(frozen=True)
-class Drive:
-    """Drive strength in normalized units: detuning Delta/Gamma plus s0."""
-
-    delta: float
-    s0: float
-
-    def __post_init__(self) -> None:
-        if self.s0 < 0:
-            raise DomainError(f"s0 must be non-negative, got {self.s0!r}")
-
-    @property
-    def s(self) -> float:
-        """Saturation parameter at this detuning, never exceeding s0."""
-        return saturation_at_detuning(self.s0, self.delta)
-
-    @classmethod
-    def from_power(
-        cls,
-        power: float,
-        atom: AtomTransition,
-        solid_angle: float,
-        eta: float,
-        delta: float = 0.0,
-    ) -> "Drive":
-        """Derive s0 from physical power through ``physical_to_normalized``."""
-        return cls(delta=delta, s0=physical_to_normalized(
-            power, atom, solid_angle, eta).s0)
 
 
 def saturation_at_detuning(s0: float, delta: float) -> float:

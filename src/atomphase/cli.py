@@ -33,12 +33,13 @@ from .sweep import (
     FIGURE_PRESETS,
     SweepRange,
     SweepSpec,
+    _sweep_rows,
+    _write_csv,
+    _write_json,
     evaluate_point,
     figure_preset,
     row_to_dict,
     rows_to_csv,
-    rows_to_json,
-    run_sweep,
 )
 
 __all__ = ["main", "build_parser"]
@@ -172,12 +173,12 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    spec = _spec_from_config(config)
-    rows = run_sweep(spec)
+    # every row is computed (and validated) before the first byte is written
+    rows = _sweep_rows(_spec_from_config(config))
     if args.format == "json":
-        sys.stdout.write(rows_to_json(rows))
+        _write_json(sys.stdout.write, rows)
     else:
-        sys.stdout.write(rows_to_csv(rows))
+        _write_csv(sys.stdout.write, rows)
     return 0
 
 
@@ -185,10 +186,10 @@ def _cmd_figures(args) -> int:
     preset = figure_preset(args.name)
     os.makedirs(args.out, exist_ok=True)
     for series in preset.series:
-        rows = run_sweep(series.spec)
+        rows = _sweep_rows(series.spec)
         path = os.path.join(args.out, f"{preset.name}-{series.name}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows, comments=series.notes))
+            _write_csv(fh.write, rows, series.notes)
         sys.stdout.write(path + "\n")
     return 0
 

@@ -119,13 +119,18 @@ class PhaseResult:
     imag_part: float
 
 
+# Messages shared with the sweep kernel, which flags the same points.
+NULL_FIELD_MESSAGE = ("transmitted and scattered amplitudes cancel exactly; "
+                      "the phase of a null field is undefined")
+KERR_POLE_MESSAGE = ("1 + 4 delta^2 - 2 omega_n eta^2 vanished; the linear phase has "
+                     "a pole here")
+
+
 def _assemble(real: float, imag: float) -> PhaseResult:
     # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
     imag = imag + 0.0
     if real == 0.0 and imag == 0.0:
-        raise DegenerateResultError(
-            "transmitted and scattered amplitudes cancel exactly; "
-            "the phase of a null field is undefined")
+        raise DegenerateResultError(NULL_FIELD_MESSAGE)
     if imag == 0.0:
         branch = PhaseBranch.PI if real < 0.0 else PhaseBranch.ZERO
     else:
@@ -233,9 +238,7 @@ def kerr_linear_phase(coupling: SymmetricCoupling, delta: float) -> float:
     weight = 2.0 * coupling.omega_n * coupling.eta**2
     denom = 1.0 + 4.0 * delta * delta - weight
     if denom == 0.0:
-        raise PoleError(
-            "1 + 4 delta^2 - 2 omega_n eta^2 vanished; the linear phase has "
-            "a pole here")
+        raise PoleError(KERR_POLE_MESSAGE)
     return -2.0 * weight * delta / denom
 
 

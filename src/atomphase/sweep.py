@@ -5,27 +5,39 @@ and coherent fraction, so one pass over a grid reproduces a whole curve.
 Degenerate grid points (where the phase is undefined) become flagged rows
 with empty phase fields instead of aborting a scan.  CSV output is fully
 deterministic: fixed column order, 17 significant digits, '\\n' endings.
+
+A sweep is computed column by column over the whole grid and then
+streamed to CSV or JSON in chunks of a fixed number of rows.  The columns
+are bit-identical to evaluating the scalar functions of
+:mod:`atomphase.phase` point by point: numpy does only + - * / and sqrt,
+which IEEE 754 rounds exactly, while every power and arctangent goes
+through ``math.pow`` / ``math.atan2``, the platform libm that the scalar
+code calls too.  numpy's vectorised ``power`` and ``arctan2`` differ from
+libm by up to 4 ulp and may vary with the CPU's instruction set, which
+would move printed digits.  Every input is validated before the first
+byte is written, so a sweep that fails writes nothing.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from itertools import islice, repeat
+from operator import attrgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+                    get_type_hints)
 
 import numpy as np
 
-from .atom import coherent_fraction, saturation_at_detuning, scattered_power_ratio
 from .errors import DegenerateResultError, DomainError, PoleError
 from .phase import (
+    KERR_POLE_MESSAGE,
+    NULL_FIELD_MESSAGE,
     AsymmetricCoupling,
     PhaseBranch,
     SymmetricCoupling,
-    kerr_linear_phase,
-    kerr_phase,
-    phase_asymmetric,
-    phase_symmetric,
 )
 
 __all__ = [
@@ -48,18 +60,6 @@ __all__ = [
 
 MODELS = ("symmetric", "asymmetric", "kerr")
 SWEEP_VARIABLES = ("delta", "s0", "s", "omega_n", "eta")
-CSV_COLUMNS = (
-    "swept_value",
-    "delta",
-    "s0",
-    "s",
-    "phi_rad",
-    "phi_deg",
-    "branch",
-    "p_sc_over_p",
-    "coherent_fraction",
-    "model",
-)
 
 Coupling = Union[SymmetricCoupling, AsymmetricCoupling]
 
@@ -74,6 +74,9 @@ class SweepRange:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise DomainError(
+                f"start and stop must be finite, got {self.start!r} and {self.stop!r}")
         if self.count < 2:
             raise DomainError(f"count must be at least 2, got {self.count!r}")
         if self.start == self.stop:
@@ -88,10 +91,8 @@ class SweepRange:
         """Grid values in ascending order; log spacing is geometric."""
         lo, hi = sorted((self.start, self.stop))
         if self.spacing == "log":
-            values = np.geomspace(lo, hi, self.count)
-        else:
-            values = np.linspace(lo, hi, self.count)
-        return [float(x) for x in values]
+            return np.geomspace(lo, hi, self.count).tolist()
+        return np.linspace(lo, hi, self.count).tolist()
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,9 @@ class SweepSpec:
         unknown = set(self.fixed) - {"delta", "s0", "s"}
         if unknown:
             raise DomainError(f"unknown fixed parameters: {sorted(unknown)}")
+        for name, value in self.fixed.items():
+            if not math.isfinite(value):
+                raise DomainError(f"fixed {name} must be finite, got {value!r}")
         if self.var != "delta" and "delta" not in self.fixed:
             raise DomainError("a fixed 'delta' is required unless delta is swept")
         if self.var in ("s0", "s"):
@@ -147,7 +151,8 @@ class ResultRow:
 
     phi fields are None on degenerate points (branch 'boundary'), where the
     phase is undefined.  ``s`` is always s0 / (1 + 4 delta^2) and phi_deg is
-    the exact degree conversion of phi_rad.
+    the exact degree conversion of phi_rad.  The field order is the column
+    order of the CSV and JSON output.
     """
 
     swept_value: Optional[float]
@@ -162,6 +167,135 @@ class ResultRow:
     model: str
 
 
+CSV_COLUMNS = tuple(field.name for field in fields(ResultRow))
+_row_values = attrgetter(*CSV_COLUMNS)
+# Which columns hold text (branch, model) rather than numbers.
+_TEXT = tuple(get_type_hints(ResultRow)[name] is str for name in CSV_COLUMNS)
+
+
+def row_to_dict(row: ResultRow) -> Dict[str, object]:
+    return dict(zip(CSV_COLUMNS, _row_values(row)))
+
+
+# ------------------------------------------------------------------ kernel
+
+_DEGREES = math.degrees(1.0)   # math.degrees(x) is x times this constant
+_BRANCHES = np.array([PhaseBranch.GENERIC.value, PhaseBranch.PI.value,
+                      PhaseBranch.ZERO.value, PhaseBranch.BOUNDARY.value], dtype=object)
+
+
+def _pow(base, exponent: float):
+    """libm's pow, elementwise over an array, as the scalar code computes it."""
+    if isinstance(base, np.ndarray):
+        return np.array(list(map(math.pow, base.tolist(), repeat(exponent))))
+    return math.pow(base, exponent)
+
+
+def _check_finite(name: str, column: np.ndarray) -> None:
+    finite = np.isfinite(column)
+    if not finite.all():
+        raise DomainError(f"{name} must be finite, got {float(column[~finite][0])!r}")
+
+
+def _rows(model: str, coupling: Coupling, swept: Sequence, delta: np.ndarray,
+          drive: Tuple[str, np.ndarray], omega_n, eta) -> Iterator[tuple]:
+    """The rows at these points as value tuples in CSV_COLUMNS order.
+
+    Every column is computed over all points, and every point validated,
+    before this returns; the tuples are then assembled chunk by chunk.
+    ``drive`` is ("s0", values) or ("s", values), one per row; omega_n and
+    eta are the coupling's own values or, when swept, one per row.  Each
+    expression keeps the operation order of the scalar functions in
+    :mod:`atomphase.phase` and :mod:`atomphase.atom`.
+    """
+    n = len(swept)
+    _check_finite("delta", delta)
+    # Python floats overflow to inf without a warning, and so do these
+    # columns: (1+s)^1.5 (1+4 delta^2) may overflow where the phase tends to 0.
+    with np.errstate(over="ignore"):
+        lorentz = 1.0 + 4.0 * delta * delta
+        if not np.isfinite(lorentz).all():
+            raise DomainError(
+                f"|delta| is too large: 1 + 4 delta^2 overflows at delta="
+                f"{float(delta[~np.isfinite(lorentz)][0])!r}")
+        name, values = drive
+        _check_finite(name, values)
+        s0 = values * lorentz if name == "s" else values
+        _check_finite("s0", s0)
+        if (s0 < 0.0).any():
+            raise DomainError(f"s0 must be non-negative, got {float(s0[s0 < 0.0][0])!r}")
+        s = s0 / lorentz
+        onep = 1.0 + s
+        try:
+            pow2 = _pow(onep, 2.0)
+        except OverflowError:
+            raise DomainError("s0 is too large: (1 + s)^2 overflows") from None
+        ratio = 4.0 * omega_n * eta * eta / (lorentz * pow2)
+        fraction = 1.0 / onep
+
+        if model == "kerr":
+            weight = 2.0 * omega_n * _pow(eta, 2.0)
+            denom = lorentz - weight
+            boundary = denom == 0.0
+            phi = -2.0 * weight * delta / np.where(boundary, 1.0, denom) * (1.0 - 1.5 * s)
+            code = np.where(boundary, 3, 0)
+        else:
+            if model == "asymmetric":
+                if coupling.p == 0:
+                    raise DomainError("p must be positive for a defined phase")
+                weight = (2.0 * np.sqrt(omega_n * coupling.omega_n_prime)
+                          * eta * coupling.eta_prime)
+                real = math.sqrt(coupling.p) * _pow(onep, 1.5) * lorentz - weight
+            else:
+                weight = 2.0 * omega_n * _pow(eta, 2.0)
+                real = _pow(onep, 1.5) * lorentz - weight
+            # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
+            imag = -2.0 * weight * delta + 0.0
+            boundary = (real == 0.0) & (imag == 0.0)
+            phi = np.array(list(map(math.atan2, imag.tolist(), real.tolist())))
+            code = np.where(imag != 0.0, 0, np.where(real < 0.0, 1, 2))
+            code[boundary] = 3
+
+    columns = {
+        "swept_value": swept, "delta": delta, "s0": s0, "s": s, "phi_rad": phi,
+        "phi_deg": phi * _DEGREES, "branch": _BRANCHES[code],
+        "p_sc_over_p": ratio, "coherent_fraction": fraction, "model": [model] * n,
+    }
+    return _tuples(columns, boundary, n)
+
+
+def _tuples(columns: Dict[str, Sequence], boundary: np.ndarray, n: int) -> Iterator[tuple]:
+    """Row tuples from the columns, converted to Python values one chunk at
+    a time so that only the float64 arrays live for the whole grid."""
+    for start in range(0, n, _CHUNK_ROWS):
+        part = {name: column[start:start + _CHUNK_ROWS] for name, column in columns.items()}
+        part = {name: column.tolist() if isinstance(column, np.ndarray) else column
+                for name, column in part.items()}
+        for i in np.flatnonzero(boundary[start:start + _CHUNK_ROWS]).tolist():
+            part["phi_rad"][i] = part["phi_deg"][i] = None
+        yield from zip(*[part[name] for name in CSV_COLUMNS])
+
+
+def _sweep_rows(spec: SweepSpec) -> Iterator[tuple]:
+    """The sweep's rows as value tuples, in ascending swept order."""
+    grid = spec.range.grid()
+    values = np.array(grid)
+    var, fixed, coupling = spec.var, spec.fixed, spec.coupling
+    if var in ("omega_n", "eta"):
+        # the coupling's own range checks, on the smallest and largest value
+        for value in (grid[0], grid[-1]):
+            replace(coupling, **{var: value})
+    delta = values if var == "delta" else np.full(len(grid), float(fixed["delta"]))
+    if var in ("s0", "s"):
+        drive = (var, values)
+    else:
+        name = "s0" if "s0" in fixed else "s"
+        drive = (name, np.full(len(grid), float(fixed[name])))
+    return _rows(spec.model, coupling, values, delta, drive,
+                 values if var == "omega_n" else coupling.omega_n,
+                 values if var == "eta" else coupling.eta)
+
+
 def evaluate_point(
     model: str,
     coupling: Coupling,
@@ -173,67 +307,37 @@ def evaluate_point(
     """Evaluate one (delta, s0) point of the given model.
 
     Degenerate points (undefined phase, Kerr pole) become rows with branch
-    'boundary' and empty phase fields; pass degenerate_ok=False to let the
-    underlying error propagate instead.
+    'boundary' and empty phase fields; pass degenerate_ok=False to raise
+    DegenerateResultError (PoleError for the Kerr model) instead.
+    Non-finite or negative drive parameters raise DomainError.
     """
     _check_model_coupling(model, coupling)
-    s = saturation_at_detuning(s0, delta)
-    focusing = coupling if isinstance(coupling, SymmetricCoupling) else coupling.symmetric()
-    ratio = scattered_power_ratio(focusing.omega_n, focusing.eta, delta, s0)
-    fraction = coherent_fraction(s)
-    try:
-        if model == "symmetric":
-            result = phase_symmetric(coupling, delta, s0)
-            phi, branch = result.phi, result.branch
-        elif model == "asymmetric":
-            result = phase_asymmetric(coupling, delta, s0)
-            phi, branch = result.phi, result.branch
-        else:
-            phi = kerr_phase(kerr_linear_phase(focusing, delta), s)
-            branch = PhaseBranch.GENERIC
-    except (DegenerateResultError, PoleError):
-        if not degenerate_ok:
-            raise
-        phi, branch = None, PhaseBranch.BOUNDARY
-    return ResultRow(
-        swept_value=swept_value,
-        delta=delta,
-        s0=s0,
-        s=s,
-        phi_rad=phi,
-        phi_deg=None if phi is None else math.degrees(phi),
-        branch=branch.value,
-        p_sc_over_p=ratio,
-        coherent_fraction=fraction,
-        model=model,
-    )
-
-
-def _resolve_point(spec: SweepSpec, value: float) -> Tuple[float, float, Coupling]:
-    delta = value if spec.var == "delta" else spec.fixed["delta"]
-    if spec.var == "s0":
-        s0 = value
-    elif spec.var == "s":
-        s0 = value * (1.0 + 4.0 * delta * delta)
-    elif "s0" in spec.fixed:
-        s0 = spec.fixed["s0"]
-    else:
-        s0 = spec.fixed["s"] * (1.0 + 4.0 * delta * delta)
-    coupling = spec.coupling
-    if spec.var == "omega_n":
-        coupling = replace(coupling, omega_n=value)
-    elif spec.var == "eta":
-        coupling = replace(coupling, eta=value)
-    return delta, s0, coupling
+    row = ResultRow(*next(_rows(
+        model, coupling, [swept_value], np.array([delta], dtype=float),
+        ("s0", np.array([s0], dtype=float)), coupling.omega_n, coupling.eta)))
+    if row.branch == PhaseBranch.BOUNDARY.value and not degenerate_ok:
+        if model == "kerr":
+            raise PoleError(KERR_POLE_MESSAGE)
+        raise DegenerateResultError(NULL_FIELD_MESSAGE)
+    return row
 
 
 def run_sweep(spec: SweepSpec) -> List[ResultRow]:
     """Evaluate the grid, one row per point, in ascending swept order."""
-    rows = []
-    for value in spec.range.grid():
-        delta, s0, coupling = _resolve_point(spec, value)
-        rows.append(evaluate_point(spec.model, coupling, delta, s0, swept_value=value))
-    return rows
+    return [ResultRow(*values) for values in _sweep_rows(spec)]
+
+
+# ----------------------------------------------------------------- writers
+
+_CHUNK_ROWS = 4096   # rows rendered per write
+_CSV_ROW = ",".join("%s" if text else "%.17g" for text in _TEXT) + "\n"
+# One object of json.dumps(rows, indent=2): %r spells a finite float, and
+# "%s" a string that needs no escape, as JSON does.
+_JSON_ROW = "  {\n" + ",\n".join(
+    f"    {json.dumps(name)}: " + ('"%s"' if text else "%r")
+    for name, text in zip(CSV_COLUMNS, _TEXT)) + "\n  }"
+_JSON_ANY_ROW = "  {\n" + ",\n".join(
+    f"    {json.dumps(name)}: %s" for name in CSV_COLUMNS) + "\n  }"
 
 
 def _format_value(value) -> str:
@@ -244,37 +348,75 @@ def _format_value(value) -> str:
     return format(value, ".17g")
 
 
-def _row_values(row: ResultRow) -> tuple:
-    return (
-        row.swept_value,
-        row.delta,
-        row.s0,
-        row.s,
-        row.phi_rad,
-        row.phi_deg,
-        row.branch,
-        row.p_sc_over_p,
-        row.coherent_fraction,
-        row.model,
-    )
+def _chunks(rows: Iterable[tuple]) -> Iterator[List[tuple]]:
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield chunk
 
 
-def row_to_dict(row: ResultRow) -> Dict[str, object]:
-    return dict(zip(CSV_COLUMNS, _row_values(row)))
+def _csv_row(values: tuple) -> str:
+    try:
+        return _CSV_ROW % values
+    except TypeError:   # an empty (None) phase field
+        return ",".join(map(_format_value, values)) + "\n"
+
+
+def _write_csv(write: Callable[[str], object], rows: Iterable[tuple],
+               comments: Sequence[str] = ()) -> None:
+    """Write CSV from value tuples in CSV_COLUMNS order, one '#' line per comment."""
+    write("".join(f"# {comment}\n" for comment in comments) + ",".join(CSV_COLUMNS) + "\n")
+    for chunk in _chunks(rows):
+        try:
+            text = "".join([_CSV_ROW % values for values in chunk])
+        except TypeError:
+            text = "".join([_csv_row(values) for values in chunk])
+        write(text)
+
+
+def _json_plain(values: Sequence, text: bool) -> bool:
+    """True when _JSON_ROW spells every value as json.dumps does: finite
+    numbers, or strings that JSON quotes without escapes.  A sum that
+    overflows reads as not finite; those values take the slow path."""
+    if text:
+        return all(json.dumps(value) == f'"{value}"' for value in set(values))
+    try:
+        return math.isfinite(sum(values))
+    except TypeError:   # None
+        return False
+
+
+def _json_row(values: tuple) -> str:
+    if all(_json_plain((value,), text) for value, text in zip(values, _TEXT)):
+        return _JSON_ROW % values
+    return _JSON_ANY_ROW % tuple(map(json.dumps, values))
+
+
+def _write_json(write: Callable[[str], object], rows: Iterable[tuple]) -> None:
+    """Write the bytes of json.dumps([row objects], indent=2) + '\\n' from
+    value tuples in CSV_COLUMNS order."""
+    opening = "[\n"
+    for chunk in _chunks(rows):
+        if all(map(_json_plain, zip(*chunk), _TEXT)):
+            body = ",\n".join([_JSON_ROW % values for values in chunk])
+        else:
+            body = ",\n".join([_json_row(values) for values in chunk])
+        write(opening + body)
+        opening = ",\n"
+    write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def rows_to_csv(rows: Sequence[ResultRow], comments: Sequence[str] = ()) -> str:
     """Render rows as deterministic CSV, one optional '#' comment per line."""
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in _row_values(row)))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    _write_csv(out.write, map(_row_values, rows), comments)
+    return out.getvalue()
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
     """Render rows as a JSON array of row objects."""
-    return json.dumps([row_to_dict(row) for row in rows], indent=2) + "\n"
+    out = io.StringIO()
+    _write_json(out.write, map(_row_values, rows))
+    return out.getvalue()
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from atomphase import (
     FULL_DIPOLE_SOLID_ANGLE,
     AtomTransition,
     DomainError,
-    Drive,
+    SymmetricCoupling,
     coherent_fraction,
+    evaluate_point,
     excited_state_population,
     physical_to_normalized,
     saturation_at_detuning,
@@ -128,19 +129,19 @@ class TestSaturation:
             assert saturation_at_detuning(s0, delta) <= s0
 
     def test_drive_type_consistency(self):
-        drive = Drive(delta=-2.0, s0=3.0)
-        np.testing.assert_allclose(drive.s, 3.0 / 17.0, rtol=1e-15)
-        assert drive.s <= drive.s0
+        row = evaluate_point("symmetric", SymmetricCoupling(1.0, 1.0), -2.0, 3.0)
+        np.testing.assert_allclose(row.s, 3.0 / 17.0, rtol=1e-15)
+        assert row.s <= row.s0
         with pytest.raises(DomainError):
-            Drive(delta=0.0, s0=-0.1)
+            evaluate_point("kerr", SymmetricCoupling(1.0, 1.0), 0.0, -0.1)
 
     def test_drive_from_power(self):
         atom = AtomTransition.from_dipole(OMEGA0, MU)
         power = hbar * atom.omega0 * atom.gamma / 8.0
-        drive = Drive.from_power(power, atom, FULL_DIPOLE_SOLID_ANGLE, 1.0,
-                                 delta=-1.0)
-        np.testing.assert_allclose(drive.s0, 1.0, rtol=1e-12)
-        np.testing.assert_allclose(drive.s, drive.s0 / 5.0, rtol=1e-12)
+        s0 = physical_to_normalized(power, atom, FULL_DIPOLE_SOLID_ANGLE, 1.0).s0
+        np.testing.assert_allclose(s0, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(saturation_at_detuning(s0, -1.0), s0 / 5.0,
+                                   rtol=1e-12)
 
 
 class TestExcitedStatePopulation:

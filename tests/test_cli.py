@@ -87,6 +87,28 @@ class TestEval:
         assert code == 1
         assert "undefined" in err
 
+    def test_kerr_pole_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--model", "kerr",
+                                 "--omega-n", "0.5", "--eta", "1",
+                                 "--delta", "0", "--s0", "0")
+        assert (code, out) == (1, "")
+        assert "pole" in err
+
+    @pytest.mark.parametrize("model", ["symmetric", "kerr"])
+    @pytest.mark.parametrize("drive", [
+        ("--delta", "nan", "--s0", "0.1"),
+        ("--delta", "0", "--s0", "nan"),
+        ("--delta", "inf", "--s0", "0.1"),
+        ("--delta", "0", "--s0", "1e308"),    # (1 + s)^2 overflows
+        ("--delta", "0", "--s0=-1"),          # negative drive strength
+    ])
+    def test_rejected_drive_writes_nothing(self, capsys, model, drive):
+        code, out, err = run_cli(capsys, "eval", "--model", model,
+                                 "--omega-n", "0.5", "--eta", "0.9", *drive)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSweep:
     def config(self, tmp_path, payload):
@@ -146,6 +168,70 @@ class TestSweep:
         })
         code, _, _ = run_cli(capsys, "sweep", "--config", path)
         assert code == 2
+
+    @pytest.mark.parametrize("sweep, fixed", [
+        ({"var": "delta", "start": -5, "stop": math.nan, "count": 11}, {"s0": 0.0}),
+        ({"var": "delta", "start": -math.inf, "stop": 0, "count": 11}, {"s0": 0.0}),
+        ({"var": "delta", "start": -5, "stop": 0, "count": 11}, {"s0": math.nan}),
+        ({"var": "s0", "start": 0, "stop": 1, "count": 11}, {"delta": math.inf}),
+    ])
+    def test_non_finite_config_writes_nothing(self, capsys, tmp_path, sweep, fixed):
+        path = self.config(tmp_path, {
+            "model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
+            "sweep": sweep, "fixed": fixed})
+        code, out, err = run_cli(capsys, "sweep", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("model, coupling, sweep, fixed", [
+        # a bad swept coupling value only at the far end of the grid
+        ("symmetric", {"omega_n": 1.0, "eta": 1.0},
+         {"var": "omega_n", "start": 0, "stop": 1.5, "count": 101},
+         {"delta": 0.0, "s0": 0.0}),
+        ("asymmetric", {"omega_n": 1.0, "eta": 1.0, "omega_n_prime": 1.0,
+                        "eta_prime": 1.0, "p": 1.0},
+         {"var": "eta", "start": -0.1, "stop": 1, "count": 101},
+         {"delta": 0.0, "s0": 0.0}),
+        ("asymmetric", {"omega_n": 1.0, "eta": 1.0, "omega_n_prime": 1.0,
+                        "eta_prime": 1.0, "p": 0.0},
+         {"var": "delta", "start": -1, "stop": 1, "count": 101}, {"s0": 0.0}),
+        ("kerr", {"omega_n": 1.0, "eta": 1.0},
+         {"var": "s", "start": -1, "stop": 1, "count": 101}, {"delta": -1.0}),
+        ("symmetric", {"omega_n": 1.0, "eta": 1.0},
+         {"var": "s0", "start": 1, "stop": 1e300, "count": 101, "spacing": "log"},
+         {"delta": -1.0}),
+    ])
+    def test_failing_sweep_writes_nothing(self, capsys, tmp_path, fmt, model,
+                                          coupling, sweep, fixed):
+        path = self.config(tmp_path, {"model": model, "coupling": coupling,
+                                      "sweep": sweep, "fixed": fixed})
+        code, out, err = run_cli(capsys, "sweep", "--config", path, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("model", ["symmetric", "kerr"])
+    def test_boundary_and_pole_rows_leave_stderr_empty(self, capsys, tmp_path, fmt,
+                                                       model):
+        # omega_n = 0.5 at eta = 1, delta = 0, s0 = 0 is the resonance
+        # boundary (symmetric) and the linear-phase pole (kerr)
+        path = self.config(tmp_path, {
+            "model": model, "coupling": {"omega_n": 1.0, "eta": 1.0},
+            "sweep": {"var": "omega_n", "start": 0, "stop": 1, "count": 5},
+            "fixed": {"delta": 0.0, "s0": 0.0}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--config", path,
+                                     "--format", fmt)
+        assert code == 0
+        assert err == ""
+        if fmt == "csv":
+            assert out.split("\n")[3].split(",")[4:7] == ["", "", "boundary"]
+        else:
+            assert json.loads(out)[2]["phi_rad"] is None
 
     def test_unknown_key_is_config_error(self, capsys, tmp_path):
         path = self.config(tmp_path, {

@@ -2,13 +2,19 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from atomphase import (
     AsymmetricCoupling,
     DomainError,
+    PhaseBranch,
+    ResultRow,
     SweepRange,
     SweepSpec,
     SymmetricCoupling,
@@ -17,11 +23,13 @@ from atomphase import (
     kerr_linear_phase,
     kerr_phase,
     phase_symmetric,
+    row_to_dict,
     rows_to_csv,
     rows_to_json,
     run_sweep,
     saturation_at_detuning,
 )
+from atomphase import sweep
 from atomphase.sweep import CSV_COLUMNS
 
 FULL = SymmetricCoupling(omega_n=1.0, eta=1.0)
@@ -53,6 +61,10 @@ class TestSweepRange:
         np.testing.assert_allclose(grid[-1], 100.0, rtol=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
+        dict(start=0.0, stop=math.nan, count=5),
+        dict(start=math.nan, stop=1.0, count=5),
+        dict(start=-math.inf, stop=1.0, count=5),
+        dict(start=1e-3, stop=math.inf, count=5, spacing="log"),
         dict(start=0.0, stop=1.0, count=1),
         dict(start=1.0, stop=1.0, count=5),
         dict(start=0.0, stop=1.0, count=5, spacing="log"),
@@ -90,6 +102,13 @@ class TestSweepSpecValidation:
             SweepSpec(model="symmetric", coupling=FULL, var="delta",
                       range=SweepRange(0.0, 1.0, 3),
                       fixed={"s0": 0.0, "s": 0.0})
+
+    @pytest.mark.parametrize("fixed", [{"s0": math.nan}, {"s": math.inf},
+                                       {"s0": 0.1, "delta": math.nan}])
+    def test_non_finite_fixed_value(self, fixed):
+        with pytest.raises(DomainError):
+            SweepSpec(model="symmetric", coupling=FULL, var="delta",
+                      range=SweepRange(0.0, 1.0, 3), fixed=fixed)
 
     def test_unknown_fixed_key(self):
         with pytest.raises(DomainError):
@@ -294,3 +313,191 @@ class TestEvaluatePoint:
             evaluate_point("symmetric",
                            AsymmetricCoupling(0.9, 0.9, 0.9, 0.9, 1.0),
                            0.0, 0.0)
+
+
+# ------------------------------------------------- columnar kernel vs oracle
+
+def same_bits(a, b):
+    """Field-by-field equality that tells -0.0 from 0.0 (float.hex)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a.hex() == b.hex()
+    return type(a) is type(b) and a == b
+
+
+def assert_rows_identical(rows, expected):
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        for name in CSV_COLUMNS:
+            got, want = getattr(row, name), getattr(ref, name)
+            assert same_bits(got, want), (name, got, want, ref)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+# Values that put rows on the resonance boundary or a Kerr pole
+# (2 omega_n eta^2 = 1 + 4 delta^2 at delta = 0) or give -0.0 imaginary parts.
+edge_unit = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def couplings(draw, model):
+    pick = lambda: draw(st.one_of(unit, edge_unit))  # noqa: E731
+    if model == "asymmetric":
+        return AsymmetricCoupling(omega_n=pick(), eta=pick(), omega_n_prime=pick(),
+                                  eta_prime=pick(), p=draw(st.one_of(
+                                      st.floats(min_value=1e-6, max_value=1.0),
+                                      st.just(1.0))))
+    return SymmetricCoupling(omega_n=pick(), eta=pick())
+
+
+def grids(lo, hi, log_lo=None):
+    """(start, stop, spacing) over [lo, hi], log-spaced from log_lo when given."""
+    linear = st.tuples(st.floats(lo, hi), st.floats(lo, hi), st.just("linear"))
+    # symmetric odd grids hit the midpoint (0 for delta, 0.5 for a unit range) exactly
+    centred = st.just((lo, hi, "linear"))
+    if log_lo is None:
+        return st.one_of(linear, centred)
+    log = st.tuples(st.floats(log_lo, hi), st.floats(log_lo, hi), st.just("log"))
+    return st.one_of(linear, centred, log)
+
+
+GRIDS = {
+    "delta": grids(-60.0, 60.0),
+    "s0": grids(0.0, 1e3, log_lo=1e-6),
+    "s": grids(0.0, 50.0, log_lo=1e-6),
+    "omega_n": grids(0.0, 1.0, log_lo=1e-6),
+    "eta": grids(0.0, 1.0, log_lo=1e-6),
+}
+fixed_delta = st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0, 0.5, -0.5]))
+fixed_drive = st.one_of(st.floats(0.0, 1e3), st.just(0.0))
+
+
+@st.composite
+def sweep_specs(draw):
+    model = draw(st.sampled_from(sweep.MODELS))
+    var = draw(st.sampled_from(sweep.SWEEP_VARIABLES))
+    start, stop, spacing = draw(GRIDS[var])
+    assume(start != stop)
+    fixed = {}
+    if var != "delta":
+        fixed["delta"] = draw(fixed_delta)
+    if var not in ("s0", "s"):
+        fixed[draw(st.sampled_from(["s0", "s"]))] = draw(fixed_drive)
+    return SweepSpec(model=model, coupling=draw(couplings(model)), var=var,
+                     range=SweepRange(start, stop, draw(st.integers(2, 41)), spacing),
+                     fixed=fixed)
+
+
+class TestColumnarKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(sweep_specs())
+    def test_run_sweep_matches_point_oracle_bitwise(self, spec):
+        assert_rows_identical(run_sweep(spec), oracles.run_sweep(spec))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_evaluate_point_matches_point_oracle_bitwise(self, data):
+        model = data.draw(st.sampled_from(sweep.MODELS))
+        coupling = data.draw(couplings(model))
+        delta = data.draw(fixed_delta)
+        s0 = data.draw(fixed_drive)
+        assert_rows_identical([evaluate_point(model, coupling, delta, s0)],
+                              [oracles.evaluate_point(model, coupling, delta, s0)])
+
+    @pytest.mark.parametrize("model", sweep.MODELS)
+    def test_boundary_and_pole_rows(self, model):
+        coupling = (AsymmetricCoupling(1.0, 1.0, 0.5, 1.0, 1.0) if model == "asymmetric"
+                    else SymmetricCoupling(1.0, 1.0))
+        spec = SweepSpec(model=model, coupling=coupling, var="omega_n",
+                         range=SweepRange(0.0, 1.0, 5), fixed={"delta": 0.0, "s0": 0.0})
+        rows = run_sweep(spec)
+        assert [row.branch for row in rows].count("boundary") == 1
+        assert rows[2].phi_rad is None and rows[2].phi_deg is None
+        assert_rows_identical(rows, oracles.run_sweep(spec))
+
+    def test_chunk_seams_match_oracle(self):
+        # more rows than one write holds, with a boundary row in a later chunk
+        count = 2 * sweep._CHUNK_ROWS + 3
+        spec = SweepSpec(model="kerr", coupling=SymmetricCoupling(1.0, 1.0),
+                         var="omega_n", range=SweepRange(0.0, 1.0, count),
+                         fixed={"delta": 0.0, "s0": 0.3})
+        rows = run_sweep(spec)
+        assert rows[(count - 1) // 2].branch == "boundary"
+        expected = oracles.run_sweep(spec)
+        assert rows_to_csv(rows) == oracles.rows_to_csv(expected)
+        assert rows_to_json(rows) == oracles.rows_to_json(expected)
+
+
+class TestKernelDomain:
+    @pytest.mark.parametrize("model", sweep.MODELS)
+    @pytest.mark.parametrize("delta, s0", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.0, math.nan), (0.0, math.inf),
+        (0.0, -0.1),     # every model, including kerr, rejects negative s0
+        (0.0, -1.0),     # once divided by zero in 1 / (1 + s)
+        (0.0, 1e308),    # (1 + s)^2 overflows
+        (1e200, 0.1),    # 1 + 4 delta^2 overflows
+    ])
+    def test_rejected_points(self, model, delta, s0):
+        coupling = (AsymmetricCoupling(0.9, 0.9, 0.9, 0.9, 1.0) if model == "asymmetric"
+                    else MIRROR)
+        with pytest.raises(DomainError):
+            evaluate_point(model, coupling, delta, s0)
+
+    def test_zero_p_is_rejected(self):
+        with pytest.raises(DomainError):
+            evaluate_point("asymmetric", AsymmetricCoupling(0.9, 0.9, 0.9, 0.9, 0.0),
+                           -1.0, 0.1)
+
+    @pytest.mark.parametrize("var, start, stop, fixed", [
+        ("omega_n", 0.0, 1.5, {"delta": 0.0, "s0": 0.0}),
+        ("eta", -0.5, 1.0, {"delta": 0.0, "s0": 0.0}),
+        ("s", -1.0, 1.0, {"delta": -1.0}),
+        ("s0", 1.0, 1e300, {"delta": -1.0}),
+        ("delta", -1e200, 0.0, {"s0": 0.1}),
+        ("delta", -1.0, 1.0, {"s": 1e307}),
+    ])
+    def test_rejected_sweeps(self, var, start, stop, fixed):
+        spec = SweepSpec(model="symmetric", coupling=FULL, var=var,
+                         range=SweepRange(start, stop, 5), fixed=fixed)
+        with pytest.raises(DomainError):
+            run_sweep(spec)
+
+
+# ------------------------------------------------------- streamed writers
+
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e-300, max_value=1e-300),          # subnormals
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e300, 1e22, 1e16, 0.1]),
+)
+texts = st.one_of(st.sampled_from([b.value for b in PhaseBranch] + list(sweep.MODELS)),
+                  st.text(max_size=8))
+
+
+@st.composite
+def result_rows(draw):
+    values = {name: draw(texts) if name in ("branch", "model") else draw(numbers)
+              for name in CSV_COLUMNS}
+    for name in ("swept_value", "phi_rad", "phi_deg"):
+        if draw(st.booleans()):
+            values[name] = None
+    return ResultRow(**values)
+
+
+class TestStreamedWriters:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(result_rows(), max_size=12), st.sampled_from([1, 2, 5, 4096]))
+    def test_json_equals_json_dumps(self, rows, chunk):
+        with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
+            text = rows_to_json(rows)
+        assert text == json.dumps([row_to_dict(r) for r in rows], indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(result_rows(), max_size=12), st.sampled_from([1, 2, 5, 4096]),
+           st.lists(st.text(max_size=5), max_size=2))
+    def test_csv_equals_per_row_join(self, rows, chunk, comments):
+        with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
+            text = rows_to_csv(rows, comments)
+        assert text == oracles.rows_to_csv(rows, comments)
