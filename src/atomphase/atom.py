@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 from scipy.constants import c as _C, epsilon_0 as _EPS0, hbar as _HBAR
 
@@ -146,9 +146,42 @@ def physical_to_normalized(
     return NormalizedDrive(e_field=e_field, rabi=rabi, s0=s0)
 
 
+# Messages shared with the sweep kernel, which applies the same drive checks
+# to whole grids.
+DELTA_OVERFLOW_MESSAGE = "|delta| is too large: 1 + 4 delta^2 overflows at delta={!r}"
+S0_OVERFLOW_MESSAGE = "s0 is too large: (1 + s)^2 overflows"
+
+
+def detuned_drive(delta: float, s0: float) -> Tuple[float, float]:
+    """(1 + 4 delta^2, s) for a drive the sweep kernel accepts.
+
+    Raises DomainError when delta or s0 is not finite, s0 is negative,
+    1 + 4 delta^2 overflows or (1 + s)^2 overflows.
+    """
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta!r}")
+    lorentz = 1.0 + 4.0 * delta * delta
+    if lorentz == math.inf:
+        raise DomainError(DELTA_OVERFLOW_MESSAGE.format(delta))
+    if not math.isfinite(s0):
+        raise DomainError(f"s0 must be finite, got {s0!r}")
+    if s0 < 0:
+        raise DomainError(f"s0 must be non-negative, got {s0!r}")
+    s = s0 / lorentz
+    try:
+        math.pow(1.0 + s, 2.0)
+    except OverflowError:
+        raise DomainError(S0_OVERFLOW_MESSAGE) from None
+    return lorentz, s
+
+
 def saturation_at_detuning(s0: float, delta: float) -> float:
-    """Saturation parameter off resonance: s0 / (1 + 4 delta^2)."""
-    return s0 / (1.0 + 4.0 * delta * delta)
+    """Saturation parameter off resonance: s0 / (1 + 4 delta^2).
+
+    Raises DomainError when delta or s0 is not finite, s0 is negative, or
+    1 + 4 delta^2 or (1 + s)^2 overflows, as a sweep does.
+    """
+    return detuned_drive(delta, s0)[1]
 
 
 def excited_state_population(s: float) -> float:
@@ -187,9 +220,10 @@ def scattered_power_ratio(omega_n: float, eta: float, delta: float, s0: float) -
     4 omega_n eta^2 / ((1 + 4 delta^2) (1 + s)^2), with s the detuned
     saturation parameter.  Reaches 2 for half-solid-angle focusing and 4 for
     full dipole-weighted coverage, both at zero detuning and weak drive.
+    Rejects the drives that ``saturation_at_detuning`` rejects.
     """
-    s = saturation_at_detuning(s0, delta)
-    return 4.0 * omega_n * eta * eta / ((1.0 + 4.0 * delta * delta) * (1.0 + s) ** 2)
+    lorentz, s = detuned_drive(delta, s0)
+    return 4.0 * omega_n * eta * eta / (lorentz * (1.0 + s) ** 2)
 
 
 def coherent_fraction(s: float) -> float:

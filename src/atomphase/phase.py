@@ -12,6 +12,10 @@ with s = s0 / (1 + 4 delta^2) the detuned saturation parameter.  The general
 asymmetric setup replaces the coupling weight by the geometric mean of the
 focusing and collection sides and rescales the transmitted amplitude by the
 surviving power fraction sqrt(p).
+
+Every function here rejects with DomainError the drives that a sweep
+rejects: a non-finite delta, s0 or s, a negative s0, and a delta or s0 so
+large that 1 + 4 delta^2 or (1 + s)^2 overflows.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .atom import saturation_at_detuning
+from .atom import detuned_drive
 from .errors import (
     DegenerateResultError,
     DomainError,
@@ -139,11 +143,6 @@ def _assemble(real: float, imag: float) -> PhaseResult:
                        real_part=real, imag_part=imag)
 
 
-def _check_s0(s0: float) -> None:
-    if s0 < 0:
-        raise DomainError(f"s0 must be non-negative, got {s0!r}")
-
-
 def phase_symmetric(coupling: SymmetricCoupling, delta: float, s0: float) -> PhaseResult:
     """Exact phase for a symmetric setup.
 
@@ -151,10 +150,8 @@ def phase_symmetric(coupling: SymmetricCoupling, delta: float, s0: float) -> Pha
     and zero otherwise; exactly on that boundary the complex amplitude
     vanishes and DegenerateResultError is raised instead of a silent zero.
     """
-    _check_s0(s0)
-    s = saturation_at_detuning(s0, delta)
+    lorentz, s = detuned_drive(delta, s0)
     weight = 2.0 * coupling.omega_n * coupling.eta**2
-    lorentz = 1.0 + 4.0 * delta * delta
     real = (1.0 + s) ** 1.5 * lorentz - weight
     imag = -2.0 * weight * delta
     return _assemble(real, imag)
@@ -167,13 +164,11 @@ def phase_asymmetric(coupling: AsymmetricCoupling, delta: float, s0: float) -> P
               - 2 sqrt(omega_n omega_n') eta eta'
               - 4 i sqrt(omega_n omega_n') eta eta' delta]
     """
+    lorentz, s = detuned_drive(delta, s0)
     if coupling.p == 0:
         raise DomainError("p must be positive for a defined phase")
-    _check_s0(s0)
-    s = saturation_at_detuning(s0, delta)
     cross = (2.0 * math.sqrt(coupling.omega_n * coupling.omega_n_prime)
              * coupling.eta * coupling.eta_prime)
-    lorentz = 1.0 + 4.0 * delta * delta
     real = math.sqrt(coupling.p) * (1.0 + s) ** 1.5 * lorentz - cross
     imag = -2.0 * cross * delta
     return _assemble(real, imag)
@@ -182,7 +177,7 @@ def phase_asymmetric(coupling: AsymmetricCoupling, delta: float, s0: float) -> P
 def resonance_branch(coupling: SymmetricCoupling, s0: float) -> PhaseBranch:
     """On-resonance branch: PI iff 2 omega_n eta^2 > (1+s0)^(3/2), ZERO iff
     smaller, BOUNDARY at exact equality."""
-    _check_s0(s0)
+    detuned_drive(0.0, s0)
     weight = 2.0 * coupling.omega_n * coupling.eta**2
     reference = (1.0 + s0) ** 1.5
     if weight > reference:
@@ -193,10 +188,14 @@ def resonance_branch(coupling: SymmetricCoupling, s0: float) -> PhaseBranch:
 
 
 def critical_saturation(coupling: SymmetricCoupling) -> Optional[float]:
-    """Largest s0 that keeps the resonant pi branch.
+    """Drive strength s* at which the resonant branch flips from pi to zero.
 
     (2 omega_n eta^2)^(2/3) - 1 when 2 omega_n eta^2 >= 1, else None: no
-    non-negative drive strength reaches the pi branch at all.
+    non-negative drive strength reaches the pi branch at all.  Rounding
+    places the flip of ``resonance_branch`` within 2 ulp(1 + s*) of the
+    returned value: PI for every s0 <= s* - 2 ulp(1 + s*), ZERO for every
+    s0 >= s* + 2 ulp(1 + s*).  In between, and at s* itself, either branch
+    or BOUNDARY may come out.
     """
     weight = 2.0 * coupling.omega_n * coupling.eta**2
     if weight < 1.0:
@@ -218,11 +217,10 @@ def dispersive_phase_arctan(coupling: SymmetricCoupling, delta: float, s0: float
     if abs(delta) < 0.5:
         raise DomainError(
             f"the arctan form requires |delta| >= 0.5, got {delta!r}")
-    _check_s0(s0)
-    s = saturation_at_detuning(s0, delta)
+    lorentz, s = detuned_drive(delta, s0)
     weight = 2.0 * coupling.omega_n * coupling.eta**2
     numer = 2.0 * weight * delta
-    denom = (1.0 + s) ** 1.5 * (1.0 + 4.0 * delta * delta) - weight
+    denom = (1.0 + s) ** 1.5 * lorentz - weight
     if denom == 0.0:
         return math.copysign(0.5 * math.pi, -numer)
     return -math.atan(numer / denom)
@@ -235,8 +233,9 @@ def kerr_linear_phase(coupling: SymmetricCoupling, delta: float) -> float:
 
     Raises PoleError when the denominator vanishes.
     """
+    lorentz, _ = detuned_drive(delta, 0.0)
     weight = 2.0 * coupling.omega_n * coupling.eta**2
-    denom = 1.0 + 4.0 * delta * delta - weight
+    denom = lorentz - weight
     if denom == 0.0:
         raise PoleError(KERR_POLE_MESSAGE)
     return -2.0 * weight * delta / denom
@@ -261,11 +260,15 @@ def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> 
     UndefinedRatioError when the reference phase is zero and PoleError when
     either denominator vanishes.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     if s < 0:
         raise DomainError(f"s must be non-negative, got {s!r}")
+    # checked as the sweep checks a fixed s: through s0 = s (1 + 4 delta^2)
+    lorentz, _ = detuned_drive(delta, s * (1.0 + 4.0 * delta * delta))
     weight = 2.0 * coupling.omega_n * coupling.eta**2
     numer = -2.0 * weight * delta
-    denom = (1.0 + s) ** 1.5 * (1.0 + 4.0 * delta * delta) - weight
+    denom = (1.0 + s) ** 1.5 * lorentz - weight
     if denom == 0.0:
         raise PoleError("the dispersive reference phase has a pole here")
     reference = numer / denom

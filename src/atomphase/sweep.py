@@ -31,6 +31,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from .atom import DELTA_OVERFLOW_MESSAGE, S0_OVERFLOW_MESSAGE
 from .errors import DegenerateResultError, DomainError, PoleError
 from .phase import (
     KERR_POLE_MESSAGE,
@@ -215,9 +216,8 @@ def _rows(model: str, coupling: Coupling, swept: Sequence, delta: np.ndarray,
     with np.errstate(over="ignore"):
         lorentz = 1.0 + 4.0 * delta * delta
         if not np.isfinite(lorentz).all():
-            raise DomainError(
-                f"|delta| is too large: 1 + 4 delta^2 overflows at delta="
-                f"{float(delta[~np.isfinite(lorentz)][0])!r}")
+            raise DomainError(DELTA_OVERFLOW_MESSAGE.format(
+                float(delta[~np.isfinite(lorentz)][0])))
         name, values = drive
         _check_finite(name, values)
         s0 = values * lorentz if name == "s" else values
@@ -229,7 +229,7 @@ def _rows(model: str, coupling: Coupling, swept: Sequence, delta: np.ndarray,
         try:
             pow2 = _pow(onep, 2.0)
         except OverflowError:
-            raise DomainError("s0 is too large: (1 + s)^2 overflows") from None
+            raise DomainError(S0_OVERFLOW_MESSAGE) from None
         ratio = 4.0 * omega_n * eta * eta / (lorentz * pow2)
         fraction = 1.0 / onep
 

@@ -493,6 +493,33 @@ class TestClosedForms:
             assert geometry._pupil_power(beam, mirror, lo, hi) == pytest.approx(
                 expected, rel=self.RTOL, abs=0.0), (w, lo, hi)
 
+    @pytest.mark.parametrize("f", [0.37, 1.0, 6.1])
+    def test_doughnut_cross_terms(self, f):
+        # waists 10^-2 f .. 10 f, so a = (2f/w)^2 runs from 0.04 to 4e4
+        rng = np.random.default_rng(int(f * 100) + 7)
+        mirror = ParabolicMirror(focal_length=f, aperture_radius=1e6 * f)
+        dip = lambda d: pupil_dipole_profile(d, mirror)
+
+        def ring(d, w):
+            x = d / w
+            return x * math.exp(-x * x)   # x * x is inf, not an error, for huge d
+
+        for lo, hi in pupil_regions(seed=int(f * 100) + 11, count=30):
+            lo, hi = lo * f, hi * f
+            w = 10.0 ** rng.uniform(-2.0, 1.0) * f
+            beam = BeamProfile.doughnut(w)
+            scales = (2.0 * f, w, 4.0 * f * f / w)
+            for name, value, integrand in (
+                    ("cross", geometry._pupil_cross(beam, mirror, lo, hi),
+                     lambda d: ring(d, w) * dip(d) * d),
+                    ("exit cross", geometry._exit_cross(beam, mirror, lo, hi),
+                     lambda d: ring(4.0 * f * f / d, w) * (2.0 * f / d) ** 2 * dip(d) * d)):
+                expected = oracle_quad(integrand, lo, hi, scales=scales)
+                if expected < 1e-250:
+                    continue
+                assert value == pytest.approx(expected, rel=self.RTOL, abs=0.0), (
+                    name, w, lo, hi)
+
     def test_cone_integrals(self):
         rng = np.random.default_rng(67)
         regions = [(0.0, a) for a in (1e-3, 3e-3, 1e-2, 0.1, 1.0, math.pi / 2,
@@ -534,9 +561,19 @@ class TestQuadratureOnlyWhereNeeded:
             assert 0.0 < overlap_eta(FLAT, cone) < 1.0
             assert overlap_eta(MATCHED, cone) == 1.0
 
-    def test_doughnut_cross_still_integrates(self):
+    def test_doughnut_mirrors(self):
+        for mirror in self.MIRRORS:
+            for waist in (0.3, 1.0, 30.0):
+                doughnut = BeamProfile.doughnut(waist * mirror.focal_length)
+                assert 0.0 < overlap_eta(doughnut, mirror) < 1.0
+                recol = recollimation_parameters(mirror, doughnut)
+                assert 0.0 < recol.eta_prime < 1.0 and 0.0 < recol.p <= 1.0
+            assert 0.0 < optimize_waist(mirror).eta < 1.0
+
+    def test_custom_profile_still_integrates(self):
+        gaussian = BeamProfile.custom(lambda d: math.exp(-d * d))
         with pytest.raises(AssertionError, match="quadrature reached"):
-            overlap_eta(BeamProfile.doughnut(1.0), self.MIRRORS[0])
+            overlap_eta(gaussian, self.MIRRORS[0])
 
 
 class TestDoughnutPowerAccuracy:
@@ -549,6 +586,48 @@ class TestDoughnutPowerAccuracy:
         recol = recollimation_parameters(
             mirror, BeamProfile.doughnut(0.04816609791359904))
         assert abs(recol.p - 0.999999999999297) <= 1e-12
+
+
+class TestCustomProfileAccuracy:
+    # A narrow Gaussian whose kept power is ~1e-36: the quadrature tolerance
+    # must be relative, or these integrals get only absolute accuracy.
+    MIRROR = ParabolicMirror(focal_length=0.024434, aperture_radius=0.069352,
+                             hole_radius=1.0857e-4)
+    W = 0.0056894
+    GAUSSIAN = BeamProfile.custom(lambda d, w=W: math.exp(-(d / w) ** 2))
+
+    def test_kept_power_matches_closed_form(self):
+        lo, hi = geometry._kept_interval(self.MIRROR)
+        w = self.W
+        exact = 0.25 * w * w * (math.exp(-2.0 * (lo / w) ** 2) - math.exp(-2.0 * (hi / w) ** 2))
+        kept = geometry._pupil_power(self.GAUSSIAN, self.MIRROR, lo, hi)
+        assert kept == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_eta_prime(self):
+        # exact value from the closed-form kept power and a 30-digit exit cross term
+        recol = recollimation_parameters(self.MIRROR, self.GAUSSIAN)
+        assert recol.eta_prime == pytest.approx(0.181247278124023, rel=1e-12, abs=0.0)
+
+
+class TestExtremeWaists:
+    @pytest.mark.parametrize("waist", [1e-200, 1e160, 1e200])
+    def test_degenerate_not_nan(self, waist):
+        # the ring sits so many decades from the mirror scale that the
+        # integrals leave the floating-point range
+        for mirror in (ParabolicMirror(1.0, 4.0, 0.2), ParabolicMirror(1.0, 4.0)):
+            with pytest.raises(DegenerateResultError):
+                overlap_eta(BeamProfile.doughnut(waist), mirror)
+            with pytest.raises(DegenerateResultError):
+                recollimation_parameters(mirror, BeamProfile.doughnut(waist))
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e30])
+    def test_scale_invariance(self, scale):
+        # eta depends only on w/f, R/f and h/f
+        for w_over_f in (0.05, 1.0, 1e50):
+            unit = overlap_eta(BeamProfile.doughnut(w_over_f), ParabolicMirror(1.0, 4.0, 0.2))
+            scaled = overlap_eta(BeamProfile.doughnut(w_over_f * scale),
+                                 ParabolicMirror(scale, 4.0 * scale, 0.2 * scale))
+            assert scaled == pytest.approx(unit, rel=1e-12, abs=0.0)
 
 
 class TestNonFiniteInputs:

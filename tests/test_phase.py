@@ -11,10 +11,13 @@ from atomphase import (
     DomainError,
     PhaseBranch,
     PoleError,
+    SweepRange,
+    SweepSpec,
     SymmetricCoupling,
     UndefinedRatioError,
     critical_saturation,
     dispersive_phase_arctan,
+    evaluate_point,
     kerr_linear_phase,
     kerr_phase,
     kerr_relative_error,
@@ -22,6 +25,9 @@ from atomphase import (
     phase_symmetric,
     repeater_margin,
     resonance_branch,
+    run_sweep,
+    saturation_at_detuning,
+    scattered_power_ratio,
 )
 
 FULL = SymmetricCoupling(omega_n=1.0, eta=1.0)
@@ -202,6 +208,22 @@ class TestCriticalSaturation:
         assert resonance_branch(MIRROR, s0_star * (1 - 1e-9)) is PhaseBranch.PI
         assert resonance_branch(MIRROR, s0_star * (1 + 1e-9)) is PhaseBranch.ZERO
 
+    def test_flip_within_two_ulp(self):
+        # the documented contract: exact to within 2 ulp(1 + s*) on either side
+        rng = np.random.default_rng(29)
+        couplings = [SymmetricCoupling(0.9, 0.98), SymmetricCoupling(1.0, 1.0),
+                     SymmetricCoupling(0.5, 1.0)]
+        for _ in range(2000):
+            omega_n = float(rng.uniform(0.5, 1.0))
+            eta = float(rng.uniform(math.sqrt(0.5 / omega_n), 1.0))
+            couplings.append(SymmetricCoupling(omega_n, eta))
+        for coupling in couplings:
+            s0_star = critical_saturation(coupling)
+            margin = 2.0 * math.ulp(1.0 + s0_star)
+            if s0_star - margin >= 0.0:
+                assert resonance_branch(coupling, s0_star - margin) is PhaseBranch.PI
+            assert resonance_branch(coupling, s0_star + margin) is PhaseBranch.ZERO
+
 
 class TestDispersiveArctan:
     def test_matches_exact_phase(self):
@@ -299,3 +321,66 @@ class TestRepeaterMargin:
             repeater_margin(0.1, 0.0)
         with pytest.raises(DomainError):
             repeater_margin(0.1, -1.0)
+
+
+C = SymmetricCoupling(0.9, 0.9)
+
+
+def kernel_message(model, coupling, delta, s0):
+    with pytest.raises(DomainError) as info:
+        evaluate_point(model, coupling, delta, s0)
+    return str(info.value)
+
+
+class TestScalarTotality:
+    """Scalar functions reject the drives a sweep rejects, with its messages."""
+
+    @pytest.mark.parametrize("call, model, delta, s0", [
+        (lambda: phase_symmetric(C, 0.0, 1e308), "symmetric", 0.0, 1e308),
+        (lambda: phase_asymmetric(MIRROR_ASYM, 0.0, 1e308), "symmetric", 0.0, 1e308),
+        (lambda: scattered_power_ratio(0.9, 0.9, 0.0, 1e308), "symmetric", 0.0, 1e308),
+        (lambda: resonance_branch(C, 1e308), "symmetric", 0.0, 1e308),
+        (lambda: phase_symmetric(C, 1e308, 0.1), "symmetric", 1e308, 0.1),
+        (lambda: dispersive_phase_arctan(C, 1e308, 0.1), "symmetric", 1e308, 0.1),
+        (lambda: kerr_linear_phase(C, 1e308), "kerr", 1e308, 0.0),
+        (lambda: kerr_relative_error(C, -1e200, 0.1), "kerr", -1e200, 0.1),
+        (lambda: saturation_at_detuning(0.1, 1e200), "symmetric", 1e200, 0.1),
+        (lambda: resonance_branch(C, math.nan), "symmetric", 0.0, math.nan),
+        (lambda: resonance_branch(C, math.inf), "symmetric", 0.0, math.inf),
+    ], ids=["symmetric-s0", "asymmetric-s0", "ratio-s0", "branch-s0", "symmetric-delta",
+            "arctan-delta", "kerr-delta", "kerr-error-delta", "saturation-delta",
+            "branch-nan", "branch-inf"])
+    def test_rejected_like_a_sweep(self, call, model, delta, s0):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == kernel_message(model, C, delta, s0)
+
+    def test_kerr_relative_error_huge_s(self):
+        # a sweep of fixed s converts it to s0 = s (1 + 4 delta^2), which overflows
+        with pytest.raises(DomainError) as info:
+            kerr_relative_error(C, 1.0, 1e308)
+        spec = SweepSpec(model="kerr", coupling=C, var="s",
+                         range=SweepRange(1e307, 1e308, 2), fixed={"delta": 1.0})
+        with pytest.raises(DomainError) as swept:
+            run_sweep(spec)
+        assert str(info.value) == str(swept.value) == "s0 must be finite, got inf"
+
+    @pytest.mark.parametrize("call", [
+        lambda bad: phase_symmetric(C, bad, 0.1),
+        lambda bad: phase_asymmetric(MIRROR_ASYM, bad, 0.1),
+        lambda bad: dispersive_phase_arctan(C, bad, 0.1),
+        lambda bad: kerr_linear_phase(C, bad),
+        lambda bad: kerr_relative_error(C, bad, 0.1),
+        lambda bad: scattered_power_ratio(0.9, 0.9, bad, 0.1),
+        lambda bad: saturation_at_detuning(0.1, bad),
+    ], ids=["symmetric", "asymmetric", "arctan", "kerr", "kerr-error", "ratio", "saturation"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta(self, call, bad):
+        with pytest.raises(DomainError) as info:
+            call(bad)
+        assert str(info.value) == kernel_message("symmetric", C, bad, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_s(self, bad):
+        with pytest.raises(DomainError):
+            kerr_relative_error(C, 1.0, bad)
