@@ -146,14 +146,9 @@ def physical_to_normalized(
     return NormalizedDrive(e_field=e_field, rabi=rabi, s0=s0)
 
 
-# Messages shared with the sweep kernel, which applies the same drive checks
-# to whole grids.
-DELTA_OVERFLOW_MESSAGE = "|delta| is too large: 1 + 4 delta^2 overflows at delta={!r}"
-S0_OVERFLOW_MESSAGE = "s0 is too large: (1 + s)^2 overflows"
-
-
 def detuned_drive(delta: float, s0: float) -> Tuple[float, float]:
-    """(1 + 4 delta^2, s) for a drive the sweep kernel accepts.
+    """(1 + 4 delta^2, s) for an accepted drive: the drive rules of every
+    scalar function and of the sweep kernel.
 
     Raises DomainError when delta or s0 is not finite, s0 is negative,
     1 + 4 delta^2 overflows or (1 + s)^2 overflows.
@@ -162,7 +157,8 @@ def detuned_drive(delta: float, s0: float) -> Tuple[float, float]:
         raise DomainError(f"delta must be finite, got {delta!r}")
     lorentz = 1.0 + 4.0 * delta * delta
     if lorentz == math.inf:
-        raise DomainError(DELTA_OVERFLOW_MESSAGE.format(delta))
+        raise DomainError(
+            f"|delta| is too large: 1 + 4 delta^2 overflows at delta={delta!r}")
     if not math.isfinite(s0):
         raise DomainError(f"s0 must be finite, got {s0!r}")
     if s0 < 0:
@@ -171,7 +167,7 @@ def detuned_drive(delta: float, s0: float) -> Tuple[float, float]:
     try:
         math.pow(1.0 + s, 2.0)
     except OverflowError:
-        raise DomainError(S0_OVERFLOW_MESSAGE) from None
+        raise DomainError("s0 is too large: (1 + s)^2 overflows") from None
     return lorentz, s
 
 

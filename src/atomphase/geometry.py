@@ -22,10 +22,11 @@ dtheta used consistently on both sides of the ratio.
 
 Every overlap and re-collimation integral of a preset profile is evaluated
 in closed form: the dipole norm on pupils and cones, the flat-top and
-dipole-matched powers and cross terms (also for the re-collimated exit
-beam), the doughnut power, and the doughnut cross terms through the
-exponential integral E1.  Adaptive quadrature remains only for custom
-profiles.
+dipole-matched powers and cross terms, the doughnut power, and the
+doughnut cross terms through the exponential integral E1.  The
+re-collimated overlap eta_prime needs no integrals of its own: it is the
+incident overlap on the kept interval (see ``recollimation_parameters``).
+Adaptive quadrature remains only for custom profiles.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
 _EPSABS = 0.0
 _EPSREL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TINY = 2.0 ** -1022   # the smallest normal float
 
 
 class DipoleOrientation(Enum):
@@ -154,18 +156,20 @@ def parabola_ray_map(d: float, mirror: ParabolicMirror) -> RayMapping:
     return RayMapping(theta=theta, d_prime=4.0 * f * f / d)
 
 
+def _annulus_weight(mirror: ParabolicMirror, lo: float, hi: float) -> float:
+    # dipole weight of theta in [theta(hi), theta(lo)], the annulus's image
+    theta_near_vertex = math.pi if lo == 0.0 else parabola_ray_map(lo, mirror).theta
+    theta_rim = parabola_ray_map(hi, mirror).theta
+    return _axial_fraction(theta_near_vertex) - _axial_fraction(theta_rim)
+
+
 def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
     """Axial-dipole-weighted solid-angle fraction covered by the mirror.
 
     The pupil annulus [hole, R] images onto theta in [theta(R),
     theta(hole)], with a hole-free mirror reaching the vertex at theta = pi.
     """
-    if mirror.hole_radius == 0.0:
-        theta_near_vertex = math.pi
-    else:
-        theta_near_vertex = parabola_ray_map(mirror.hole_radius, mirror).theta
-    theta_rim = parabola_ray_map(mirror.aperture_radius, mirror).theta
-    return _axial_fraction(theta_near_vertex) - _axial_fraction(theta_rim)
+    return _annulus_weight(mirror, mirror.hole_radius, mirror.aperture_radius)
 
 
 def _pupil_dipole(d: float, f: float) -> float:
@@ -301,7 +305,7 @@ def _span(head: Callable[[float], float], tail: Callable[[float], float],
 # Pupil antiderivatives in u = d / 2f.  Under the involution u -> 1/u the
 # tail integral from u to infinity of each density is the head integral to
 # 1/u of a partner density: the dipole norm is its own partner, and the
-# flat-top and exit-beam cross terms are each other's.
+# flat-top cross term density 2 s^2 / (1 + s^2)^2 has partner 2 / (1 + s^2)^2.
 
 def _dipole_norm_head(u: float) -> float:
     # int_0^u 4 s^3 / (1 + s^2)^4 ds; A(d)^2 d dd = 4 f^2 times this density
@@ -317,7 +321,7 @@ def _flat_cross_head(u: float) -> float:
     return math.atan(u) - u / (1.0 + u * u)
 
 
-def _exit_cross_head(u: float) -> float:
+def _flat_cross_partner_head(u: float) -> float:
     # int_0^u 2 / (1 + s^2)^2 ds = atan u + u / (1 + u^2)
     return math.atan(u) + u / (1.0 + u * u)
 
@@ -344,9 +348,8 @@ def _dipole_norm(lo: float, hi: float, f: float) -> float:
         0.5 * lo / f, 0.5 * hi / f, 1.0)
 
 
-# Doughnut cross terms.  With b = 2f/w, a = b^2 and t = (d/2f)^2 both reduce
-# to 4 f^2 b times int s e^{-as} / (1+s)^2 ds, the exit term on the image
-# interval t -> 1/t.  The integral from t to infinity is
+# Doughnut cross term.  With b = 2f/w, a = b^2 and t = (d/2f)^2 it reduces to
+# 4 f^2 b times int s e^{-as} / (1+s)^2 ds.  The integral from t to infinity is
 #     e^{-at} (t + Q(x)) S(x) / (1 + t),   x = a (1 + t),
 # with S(x) = e^x E1(x) and Q(x) = x + 1 - 1/S(x) in (0, 1).  For x >= 1, Q is
 # the tail of the continued fraction S = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...))).
@@ -437,7 +440,7 @@ def _pupil_cross(profile: BeamProfile, mirror: ParabolicMirror,
     f = mirror.focal_length
     if profile.kind == "flattop":
         return 4.0 * f * f * _span(
-            _flat_cross_head, lambda u: _exit_cross_head(1.0 / u),
+            _flat_cross_head, lambda u: _flat_cross_partner_head(1.0 / u),
             0.5 * lo / f, 0.5 * hi / f, 1.0)
     if profile.kind == "matched":
         return _dipole_norm(lo, hi, f)
@@ -446,35 +449,6 @@ def _pupil_cross(profile: BeamProfile, mirror: ParabolicMirror,
         return _doughnut_cross(profile.waist, f, u_lo * u_lo, u_hi * u_hi)
     beam = profile.pupil_amplitude(mirror)
     return _pupil_quad(lambda d: beam(d) * _pupil_dipole(d, f) * d, lo, hi, f)
-
-
-def _exit_cross(profile: BeamProfile, mirror: ParabolicMirror,
-                lo: float, hi: float) -> float:
-    """int exit(rho) A(rho) rho drho over [lo, hi] for the re-collimated beam.
-
-    The exit amplitude at rho is that of the ray entering at 4 f^2 / rho,
-    scaled by the Jacobian factor entry^2 / 4 f^2 that keeps ring-by-ring
-    power exact.  A flat top leaves as 4 f^2 / rho^2; the matched profile
-    is its own image.
-    """
-    f = mirror.focal_length
-    if profile.kind == "flattop":
-        return 4.0 * f * f * _span(
-            _exit_cross_head, lambda u: _flat_cross_head(1.0 / u),
-            0.5 * lo / f, 0.5 * hi / f, 1.0)
-    if profile.kind == "matched":
-        return _dipole_norm(lo, hi, f)
-    if profile.kind == "doughnut":
-        v_lo = 2.0 * f / hi
-        v_hi = 2.0 * f / lo if lo else math.inf
-        return _doughnut_cross(profile.waist, f, v_lo * v_lo, v_hi * v_hi)
-    beam = profile.pupil_amplitude(mirror)
-
-    def exit_beam(rho: float) -> float:
-        entry = 4.0 * f * f / rho
-        return beam(entry) * entry * entry / (4.0 * f * f)
-
-    return _pupil_quad(lambda d: exit_beam(d) * _pupil_dipole(d, f) * d, lo, hi, f)
 
 
 # Cone antiderivatives in theta on [0, pi].  sin(pi - t) = sin t, so each
@@ -505,12 +479,19 @@ def _cone_span(head: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def _overlap_from_integrals(cross: float, beam2: float, dip2: float) -> float:
-    # the product also vanishes when it underflows on a tiny region
-    if beam2 <= 0.0 or dip2 <= 0.0 or beam2 * dip2 == 0.0:
+    # a subnormal norm has lost its relative precision to underflow
+    if beam2 < _TINY or dip2 < _TINY:
         raise DegenerateResultError(
             "zero-norm profile on the requested region; the overlap is "
             "undefined")
-    eta = cross / math.sqrt(beam2 * dip2)
+    # sqrt(beam2 * dip2) with each factor first scaled by a power of four
+    # into [0.5, 2), so the product can neither overflow nor underflow at
+    # large or small pupil scales.  Power-of-two scaling is exact, so the
+    # norm is bit-identical wherever the plain product is a normal number.
+    k1 = math.frexp(beam2)[1] // 2
+    k2 = math.frexp(dip2)[1] // 2
+    norm = math.sqrt(math.ldexp(beam2, -2 * k1) * math.ldexp(dip2, -2 * k2))
+    eta = cross / math.ldexp(norm, k1 + k2)
     # Cauchy-Schwarz bound; quadrature noise may overshoot 1 by ~1e-16.
     # cross == beam2 == dip2 (a matched profile) gives exactly 1, since
     # sqrt(x * x) == x in binary floating point.
@@ -608,11 +589,16 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     under the involution.  p is the fraction of the beam power landing in
     the kept interval, omega_n_prime the dipole weight of its angular
     image, and eta_prime the overlap of the Jacobian-remapped exit beam
-    with the pupil dipole profile on the same interval.
+    exit(rho) = beam(4 f^2 / rho) (2f / rho)^2 with the pupil dipole
+    profile A on the same interval.
+
+    eta_prime is the incident overlap on the kept interval [lo, hi]: with
+    u = d / 2f, A(4 f^2 / d) = u^2 A(d), so rho = 4 f^2 / d turns
+    int exit A rho drho over [lo, hi] into int beam A d dd over
+    [4 f^2 / hi, 4 f^2 / lo] = [lo, hi], and the remap keeps ring power.
 
     Raises DegenerateResultError when no rays survive (p would be 0).
     """
-    f = mirror.focal_length
     lo, hi = _kept_interval(mirror)
     if not lo < hi:
         raise DegenerateResultError(
@@ -625,16 +611,11 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
             "zero-norm profile on the illuminated annulus")
     p = min(power_kept / power_in, 1.0)
 
-    theta_outer = parabola_ray_map(lo, mirror).theta
-    theta_inner = parabola_ray_map(hi, mirror).theta
-    omega_n_prime = _axial_fraction(theta_outer) - _axial_fraction(theta_inner)
-
-    # d -> 4 f^2 / d conserves ring power and maps the kept interval onto
-    # itself, so the exit beam's norm there is power_kept.
     eta_prime = _overlap_from_integrals(
-        _exit_cross(profile, mirror, lo, hi), power_kept, _dipole_norm(lo, hi, f))
-
-    return Recollimation(omega_n_prime=omega_n_prime, eta_prime=eta_prime, p=p)
+        _pupil_cross(profile, mirror, lo, hi), power_kept,
+        _dipole_norm(lo, hi, mirror.focal_length))
+    return Recollimation(omega_n_prime=_annulus_weight(mirror, lo, hi),
+                         eta_prime=eta_prime, p=p)
 
 
 class WaistOptimum(NamedTuple):

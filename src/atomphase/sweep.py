@@ -31,7 +31,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .atom import DELTA_OVERFLOW_MESSAGE, S0_OVERFLOW_MESSAGE
+from .atom import detuned_drive
 from .errors import DegenerateResultError, DomainError, PoleError
 from .phase import (
     KERR_POLE_MESSAGE,
@@ -87,13 +87,20 @@ class SweepRange:
                 f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and not (self.start > 0 and self.stop > 0):
             raise DomainError("log spacing requires positive endpoints")
+        if self.spacing == "linear" and math.isinf(self.stop - self.start):
+            raise DomainError(
+                f"linear range from {self.start!r} to {self.stop!r} is wider than "
+                "the floating-point range")
 
     def grid(self) -> List[float]:
         """Grid values in ascending order; log spacing is geometric."""
         lo, hi = sorted((self.start, self.stop))
         if self.spacing == "log":
             return np.geomspace(lo, hi, self.count).tolist()
-        return np.linspace(lo, hi, self.count).tolist()
+        # at the edge of the float range (hi - lo) / (count - 1) * (count - 1)
+        # may round past it; numpy then overwrites that last point with hi
+        with np.errstate(over="ignore"):
+            return np.linspace(lo, hi, self.count).tolist()
 
 
 @dataclass(frozen=True)
@@ -192,10 +199,11 @@ def _pow(base, exponent: float):
     return math.pow(base, exponent)
 
 
-def _check_finite(name: str, column: np.ndarray) -> None:
-    finite = np.isfinite(column)
-    if not finite.all():
-        raise DomainError(f"{name} must be finite, got {float(column[~finite][0])!r}")
+def _reject(bad: np.ndarray, delta: np.ndarray, s0: np.ndarray) -> None:
+    """Raise detuned_drive's error at the first point where bad is set."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        detuned_drive(float(delta[i]), float(s0[i]))
 
 
 def _rows(model: str, coupling: Coupling, swept: Sequence, delta: np.ndarray,
@@ -210,26 +218,24 @@ def _rows(model: str, coupling: Coupling, swept: Sequence, delta: np.ndarray,
     :mod:`atomphase.phase` and :mod:`atomphase.atom`.
     """
     n = len(swept)
-    _check_finite("delta", delta)
     # Python floats overflow to inf without a warning, and so do these
     # columns: (1+s)^1.5 (1+4 delta^2) may overflow where the phase tends to 0.
     with np.errstate(over="ignore"):
+        # atom.detuned_drive's rules in its order, each over the whole grid
         lorentz = 1.0 + 4.0 * delta * delta
-        if not np.isfinite(lorentz).all():
-            raise DomainError(DELTA_OVERFLOW_MESSAGE.format(
-                float(delta[~np.isfinite(lorentz)][0])))
         name, values = drive
-        _check_finite(name, values)
+        _reject(~np.isfinite(delta), delta, values)
+        _reject(~np.isfinite(lorentz), delta, values)
         s0 = values * lorentz if name == "s" else values
-        _check_finite("s0", s0)
-        if (s0 < 0.0).any():
-            raise DomainError(f"s0 must be non-negative, got {float(s0[s0 < 0.0][0])!r}")
+        _reject(~np.isfinite(s0), delta, s0)
+        _reject(s0 < 0.0, delta, s0)
         s = s0 / lorentz
         onep = 1.0 + s
-        try:
-            pow2 = _pow(onep, 2.0)
-        except OverflowError:
-            raise DomainError(S0_OVERFLOW_MESSAGE) from None
+        # (1+s)^2 overflows somewhere iff it does at the largest 1 + s, and
+        # detuned_drive decides that with the same math.pow as _pow below
+        i = int(np.argmax(onep))
+        detuned_drive(float(delta[i]), float(s0[i]))
+        pow2 = _pow(onep, 2.0)
         ratio = 4.0 * omega_n * eta * eta / (lorentz * pow2)
         fraction = 1.0 / onep
 

@@ -184,6 +184,18 @@ class TestSweep:
         assert out == ""
         assert "finite" in err
 
+    def test_overflowing_linear_range_is_config_error(self, capsys, tmp_path):
+        path = self.config(tmp_path, {
+            "model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
+            "sweep": {"var": "delta", "start": -1.7e308, "stop": 1.7e308, "count": 11},
+            "fixed": {"s0": 0.1}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Warning" not in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("model, coupling, sweep, fixed", [
         # a bad swept coupling value only at the far end of the grid

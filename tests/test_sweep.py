@@ -70,10 +70,20 @@ class TestSweepRange:
         dict(start=0.0, stop=1.0, count=5, spacing="log"),
         dict(start=-1.0, stop=1.0, count=5, spacing="log"),
         dict(start=0.0, stop=1.0, count=5, spacing="cubic"),
+        dict(start=-1.7e308, stop=1.7e308, count=5),   # stop - start overflows
     ])
     def test_invalid_ranges(self, kwargs):
         with pytest.raises(DomainError):
             SweepRange(**kwargs)
+
+    @pytest.mark.parametrize("count", [2, 4, 7, 1001])
+    def test_widest_linear_grid_is_finite(self, count):
+        # stop - start is the largest float; the last step may round past it
+        half = 0.5 * 1.7976931348623157e308
+        with np.errstate(all="raise"):
+            grid = SweepRange(start=-half, stop=half, count=count).grid()
+        assert grid[0] == -half and grid[-1] == half
+        assert all(map(math.isfinite, grid)) and grid == sorted(grid)
 
 
 class TestSweepSpecValidation:
@@ -460,6 +470,20 @@ class TestKernelDomain:
                          range=SweepRange(start, stop, 5), fixed=fixed)
         with pytest.raises(DomainError):
             run_sweep(spec)
+
+
+class TestDriveRuleOrder:
+    def test_first_failing_rule_wins(self):
+        # detuned_drive's rules in its order, each over the whole grid: a
+        # non-finite s0 is reported although a negative s0 comes first
+        spec = SweepSpec(model="symmetric", coupling=FULL, var="s",
+                         range=SweepRange(-1.0, 1e308, 3), fixed={"delta": 1.0})
+        with pytest.raises(DomainError, match=r"^s0 must be finite, got inf$"):
+            run_sweep(spec)
+        # and a non-finite delta before an overflowing 1 + 4 delta^2
+        with pytest.raises(DomainError, match=r"^delta must be finite, got nan$"):
+            sweep._rows("symmetric", FULL, [None, None], np.array([1e200, math.nan]),
+                        ("s0", np.array([0.1, 0.1])), FULL.omega_n, FULL.eta)
 
 
 # ------------------------------------------------------- streamed writers
