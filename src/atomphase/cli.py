@@ -144,25 +144,33 @@ def _spec_from_config(config: dict) -> SweepSpec:
         raise ConfigError("'fixed' must be an object of parameter values")
 
     try:
-        if model == "asymmetric":
-            coupling = AsymmetricCoupling(**coupling_cfg)
-        else:
-            coupling = SymmetricCoupling(**coupling_cfg)
+        coupling_type = AsymmetricCoupling if model == "asymmetric" else SymmetricCoupling
+        coupling = coupling_type(**{k: _number(k, v) for k, v in coupling_cfg.items()})
+        count = sweep_cfg.pop("count")
+        if type(count) is not int:
+            raise ConfigError(f"count must be a JSON integer, got {count!r}")
         rng = SweepRange(
-            start=float(sweep_cfg.pop("start")),
-            stop=float(sweep_cfg.pop("stop")),
-            count=int(sweep_cfg.pop("count")),
+            start=_number("start", sweep_cfg.pop("start")),
+            stop=_number("stop", sweep_cfg.pop("stop")),
+            count=count,
             spacing=str(sweep_cfg.pop("spacing", "linear")),
         )
         var = str(sweep_cfg.pop("var"))
         if sweep_cfg:
             raise ConfigError(f"unknown sweep keys: {sorted(sweep_cfg)}")
         return SweepSpec(model=model, coupling=coupling, var=var, range=rng,
-                         fixed={str(k): float(v) for k, v in fixed.items()})
+                         fixed={k: _number(k, v) for k, v in fixed.items()})
     except ConfigError:
         raise
-    except (AtomPhaseError, KeyError, TypeError, ValueError) as exc:
+    except (AtomPhaseError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _number(name: str, value) -> float:
+    # JSON numbers only: a bool, a string or null is refused, not coerced
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _cmd_sweep(args) -> int:

@@ -20,6 +20,10 @@ Overlaps are scalar amplitude overlaps restricted to the illuminated
 region, with pupil measure 2 pi d dd or angular measure 2 pi sin(theta)
 dtheta used consistently on both sides of the ratio.
 
+Pupil radii are converted on entry to u = d / 2f, and every pupil integral
+runs in u with measure u du: the factor 4 f^2 to d dd cancels from every
+ratio, so all pupil results depend only on R/f, h/f and w/f.
+
 Every overlap and re-collimation integral of a preset profile is evaluated
 in closed form: the dipole norm on pupils and cones, the flat-top and
 dipole-matched powers and cross terms, the doughnut power, and the
@@ -152,15 +156,19 @@ def parabola_ray_map(d: float, mirror: ParabolicMirror) -> RayMapping:
     if d <= 0:
         raise DomainError(f"pupil radius must be positive, got {d!r}")
     f = mirror.focal_length
-    theta = math.pi - 2.0 * math.atan(0.5 * d / f)
-    return RayMapping(theta=theta, d_prime=4.0 * f * f / d)
+    # d' = 4 f^2 / d, ordered so that f^2 is never formed and nothing is
+    # divided by a u = d / 2f that underflowed to 0
+    return RayMapping(theta=_ray_angle(0.5 * d / f), d_prime=4.0 * (f / d) * f)
 
 
-def _annulus_weight(mirror: ParabolicMirror, lo: float, hi: float) -> float:
-    # dipole weight of theta in [theta(hi), theta(lo)], the annulus's image
-    theta_near_vertex = math.pi if lo == 0.0 else parabola_ray_map(lo, mirror).theta
-    theta_rim = parabola_ray_map(hi, mirror).theta
-    return _axial_fraction(theta_near_vertex) - _axial_fraction(theta_rim)
+def _ray_angle(u: float) -> float:
+    # theta(u) = pi - 2 atan(u); exactly pi at the vertex u = 0
+    return math.pi - 2.0 * math.atan(u)
+
+
+def _annulus_weight(lo: float, hi: float) -> float:
+    # dipole weight of theta in [theta(hi), theta(lo)], the image of [lo, hi] in u
+    return _axial_fraction(_ray_angle(lo)) - _axial_fraction(_ray_angle(hi))
 
 
 def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
@@ -169,26 +177,28 @@ def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
     The pupil annulus [hole, R] images onto theta in [theta(R),
     theta(hole)], with a hole-free mirror reaching the vertex at theta = pi.
     """
-    return _annulus_weight(mirror, mirror.hole_radius, mirror.aperture_radius)
+    f = mirror.focal_length
+    return _annulus_weight(0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f)
 
 
-def _pupil_dipole(d: float, f: float) -> float:
-    # sin(theta(d)) / (1 + (d/2f)^2), reduced to avoid the trig round trip
-    u = 0.5 * d / f
-    return 2.0 * u / (1.0 + u * u) ** 2
+def _pupil_dipole(u: float) -> float:
+    # sin(theta(u)) / (1 + u^2), reduced to avoid the trig round trip; two
+    # divisions, because q ** 2 raises OverflowError where q / q does not
+    q = 1.0 + u * u
+    return 2.0 * u / q / q
 
 
 def pupil_dipole_profile(d: float, mirror: ParabolicMirror) -> float:
     """Pupil-plane amplitude of the axial dipole field behind the mirror.
 
-    A(d) = sin(theta(d)) / (1 + (d / 2f)^2).  Ring by ring, A^2 2 pi d dd
-    equals f^2 times sin^3(theta) 2 pi dtheta under the theta(d) map, so
-    the pupil image carries the far-field energy distribution (up to the
-    fixed f^2 scale).  Vanishes toward both the vertex and the rim.
+    A(d) = sin(theta(d)) / (1 + u^2) with u = d / 2f.  Ring by ring,
+    A^2 2 pi u du equals sin^3(theta) 2 pi dtheta / 4 under the theta(u)
+    map, so the pupil image carries the far-field energy distribution.
+    Vanishes toward both the vertex and the rim.
     """
     if d <= 0:
         raise DomainError(f"pupil radius must be positive, got {d!r}")
-    return _pupil_dipole(d, mirror.focal_length)
+    return _pupil_dipole(0.5 * d / mirror.focal_length)
 
 
 @dataclass(frozen=True)
@@ -233,47 +243,22 @@ class BeamProfile:
     def custom(cls, func: Callable[[float], float]) -> "BeamProfile":
         return cls(kind="custom", func=func)
 
-    def pupil_amplitude(self, mirror: ParabolicMirror) -> Callable[[float], float]:
-        """Amplitude as a function of pupil radius for the given mirror."""
-        if self.kind == "flattop":
-            return lambda d: 1.0
-        if self.kind == "doughnut":
-            w = self.waist
-            return lambda d: (d / w) * math.exp(-((d / w) ** 2))
-        if self.kind == "matched":
-            f = mirror.focal_length
-            return lambda d: _pupil_dipole(d, f)
-        return self.func
-
-    def angular_amplitude(self) -> Callable[[float], float]:
-        """Amplitude as a function of polar angle (axial-dipole context)."""
-        if self.kind == "flattop":
-            return lambda theta: 1.0
-        if self.kind == "matched":
-            return math.sin
-        if self.kind == "doughnut":
-            raise DomainError(
-                "a doughnut profile is defined on a mirror pupil, not on an "
-                "angular region")
-        return self.func
-
 
 def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    value, _ = quad(fn, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
+    try:
+        value, _ = quad(fn, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
+    except OverflowError as exc:
+        raise DomainError(
+            f"custom profile leaves the floating-point range: {exc}") from exc
     return value
 
 
-def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float, f: float) -> float:
-    # Geometric segmentation pinned to the mirror scale 2f keeps the
-    # adaptive rule from missing the peak when the annulus spans many decades.
+def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    # Cuts at the decades of the mirror scale u = 1 keep the adaptive rule
+    # from missing the peak when the annulus spans many decades.
     if hi <= lo:
         return 0.0
-    cuts = [lo]
-    for k in range(-6, 9):
-        x = 2.0 * f * 10.0**k
-        if lo < x < hi:
-            cuts.append(x)
-    cuts.append(hi)
+    cuts = [lo] + [10.0**k for k in range(-6, 9) if lo < 10.0**k < hi] + [hi]
     return sum(_quad(fn, a, b) for a, b in zip(cuts, cuts[1:]))
 
 
@@ -308,8 +293,12 @@ def _span(head: Callable[[float], float], tail: Callable[[float], float],
 # flat-top cross term density 2 s^2 / (1 + s^2)^2 has partner 2 / (1 + s^2)^2.
 
 def _dipole_norm_head(u: float) -> float:
-    # int_0^u 4 s^3 / (1 + s^2)^4 ds; A(d)^2 d dd = 4 f^2 times this density
+    # int_0^u 4 s^3 / (1 + s^2)^4 ds, the density of A^2 u du; past u = 1
+    # the same ratio in r = 1/u^2, whose powers cannot overflow
     t = u * u
+    if t > 1.0:
+        r = 1.0 / t
+        return (1.0 + 3.0 * r) / (3.0 * (1.0 + r) ** 3)
     return t * t * (t + 3.0) / (3.0 * (1.0 + t) ** 3)
 
 
@@ -331,7 +320,7 @@ def _ring_head(x: float) -> float:
     y = 2.0 * x * x
     if y < 0.1:
         return y * y * _horner(_RING_SERIES, y) / 8.0
-    return (1.0 - (1.0 + y) * math.exp(-y)) / 8.0
+    return 0.125 - _ring_tail(x)
 
 
 def _ring_tail(x: float) -> float:
@@ -341,15 +330,13 @@ def _ring_tail(x: float) -> float:
     return (1.0 + y) * decay / 8.0 if decay else 0.0
 
 
-def _dipole_norm(lo: float, hi: float, f: float) -> float:
-    """int A(d)^2 d dd over [lo, hi]: the pupil dipole norm."""
-    return 4.0 * f * f * _span(
-        _dipole_norm_head, lambda u: _dipole_norm_head(1.0 / u),
-        0.5 * lo / f, 0.5 * hi / f, 1.0)
+def _dipole_norm(lo: float, hi: float) -> float:
+    """int A(u)^2 u du over [lo, hi]: the pupil dipole norm."""
+    return _span(_dipole_norm_head, lambda u: _dipole_norm_head(1.0 / u), lo, hi, 1.0)
 
 
-# Doughnut cross term.  With b = 2f/w, a = b^2 and t = (d/2f)^2 it reduces to
-# 4 f^2 b times int s e^{-as} / (1+s)^2 ds.  The integral from t to infinity is
+# Doughnut cross term.  With b = 2f/w, a = b^2 and t = u^2 it reduces to
+# b times int s e^{-as} / (1+s)^2 ds.  The integral from t to infinity is
 #     e^{-at} (t + Q(x)) S(x) / (1 + t),   x = a (1 + t),
 # with S(x) = e^x E1(x) and Q(x) = x + 1 - 1/S(x) in (0, 1).  For x >= 1, Q is
 # the tail of the continued fraction S = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...))).
@@ -400,14 +387,19 @@ def _doughnut_head(t: float, a: float) -> float:
     return t * t * total
 
 
-def _doughnut_cross(w: float, f: float, t1: float, t2: float) -> float:
-    """4 f^2 b int_{t1}^{t2} s e^{-as} / (1+s)^2 ds for a doughnut of waist w."""
-    b = 2.0 * f / w
-    a = b * b
-    if not 0.0 < a < math.inf:
+def _doughnut_b(profile: BeamProfile, f: float) -> float:
+    # b = 2f / w, the inverse waist in units of 2f; f / w never divides by 0
+    b = 2.0 * (f / profile.waist)
+    if not 0.0 < b * b < math.inf:
         raise DegenerateResultError(
             "doughnut waist and focal length are too many decades apart: the "
             "overlap integrals leave the floating-point range")
+    return b
+
+
+def _doughnut_cross(b: float, t1: float, t2: float) -> float:
+    """b int_{t1}^{t2} s e^{-as} / (1+s)^2 ds with a = b^2."""
+    a = b * b
     # Below the cut the series sums the integral from 0 without cancellation.
     # Above it the tails are differenced; on the narrowest intervals just
     # past the cut that costs up to a few hundred ulp.
@@ -415,40 +407,35 @@ def _doughnut_cross(w: float, f: float, t1: float, t2: float) -> float:
         integral = _doughnut_head(t2, a) - _doughnut_head(t1, a)
     else:
         integral = _doughnut_tail(t1, a) - _doughnut_tail(t2, a)
-    return 4.0 * f * f * b * integral
+    return b * integral
 
 
-def _pupil_power(profile: BeamProfile, mirror: ParabolicMirror,
-                 lo: float, hi: float) -> float:
-    """int beam(d)^2 d dd over [lo, hi]."""
-    f = mirror.focal_length
+def _pupil_power(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
+    """int beam^2 u du over [lo, hi] for focal length f."""
     if profile.kind == "flattop":
         return 0.5 * (hi - lo) * (hi + lo)
     if profile.kind == "matched":
-        return _dipole_norm(lo, hi, f)
+        return _dipole_norm(lo, hi)
     if profile.kind == "doughnut":
-        w = profile.waist
-        # w * w alone overflows for waists past 1e154; the span underflows first
-        return w * (w * _span(_ring_head, _ring_tail, lo / w, hi / w, 1.0))
-    beam = profile.pupil_amplitude(mirror)
-    return _pupil_quad(lambda d: beam(d) ** 2 * d, lo, hi, f)
+        # the beam is (b u) exp(-(b u)^2); b * b may be subnormal, so divide twice
+        b = _doughnut_b(profile, f)
+        return _span(_ring_head, _ring_tail, b * lo, b * hi, 1.0) / b / b
+    # a custom amplitude takes d = f (2u), which unlike (2f) u cannot overflow
+    beam = profile.func
+    return _pupil_quad(lambda u: beam(f * (2.0 * u)) ** 2 * u, lo, hi)
 
 
-def _pupil_cross(profile: BeamProfile, mirror: ParabolicMirror,
-                 lo: float, hi: float) -> float:
-    """int beam(d) A(d) d dd over [lo, hi]."""
-    f = mirror.focal_length
+def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
+    """int beam A u du over [lo, hi] for focal length f."""
     if profile.kind == "flattop":
-        return 4.0 * f * f * _span(
-            _flat_cross_head, lambda u: _flat_cross_partner_head(1.0 / u),
-            0.5 * lo / f, 0.5 * hi / f, 1.0)
+        return _span(_flat_cross_head, lambda u: _flat_cross_partner_head(1.0 / u),
+                     lo, hi, 1.0)
     if profile.kind == "matched":
-        return _dipole_norm(lo, hi, f)
+        return _dipole_norm(lo, hi)
     if profile.kind == "doughnut":
-        u_lo, u_hi = 0.5 * lo / f, 0.5 * hi / f
-        return _doughnut_cross(profile.waist, f, u_lo * u_lo, u_hi * u_hi)
-    beam = profile.pupil_amplitude(mirror)
-    return _pupil_quad(lambda d: beam(d) * _pupil_dipole(d, f) * d, lo, hi, f)
+        return _doughnut_cross(_doughnut_b(profile, f), lo * lo, hi * hi)
+    beam = profile.func
+    return _pupil_quad(lambda u: beam(f * (2.0 * u)) * _pupil_dipole(u) * u, lo, hi)
 
 
 # Cone antiderivatives in theta on [0, pi].  sin(pi - t) = sin t, so each
@@ -530,10 +517,10 @@ def overlap_eta(
             raise DomainError(
                 "pupil region must satisfy 0 <= lo < hi < inf, got "
                 f"({lo!r}, {hi!r})")
-        return _overlap_from_integrals(
-            _pupil_cross(profile, geometry, lo, hi),
-            _pupil_power(profile, geometry, lo, hi),
-            _dipole_norm(lo, hi, geometry.focal_length))
+        f = geometry.focal_length
+        lo, hi = 0.5 * lo / f, 0.5 * hi / f
+        return _overlap_from_integrals(_pupil_cross(profile, f, lo, hi),
+                                       _pupil_power(profile, f, lo, hi), _dipole_norm(lo, hi))
 
     if isinstance(geometry, ConeAperture):
         if geometry.orientation is not DipoleOrientation.AXIAL:
@@ -551,8 +538,12 @@ def overlap_eta(
             beam2 = _cone_span(_sin_head, lo, hi)
         elif profile.kind == "matched":
             cross = beam2 = dip2
+        elif profile.kind == "doughnut":
+            raise DomainError(
+                "a doughnut profile is defined on a mirror pupil, not on an "
+                "angular region")
         else:
-            beam = profile.angular_amplitude()
+            beam = profile.func
             cross = _quad(lambda t: beam(t) * math.sin(t) * math.sin(t), lo, hi)
             beam2 = _quad(lambda t: beam(t) ** 2 * math.sin(t), lo, hi)
         return _overlap_from_integrals(cross, beam2, dip2)
@@ -561,14 +552,11 @@ def overlap_eta(
         f"geometry must be a ParabolicMirror or ConeAperture, got {geometry!r}")
 
 
-def _kept_interval(mirror: ParabolicMirror) -> Tuple[float, float]:
-    # Rays must hit the parabola twice (d' <= R) and clear the hole
-    # (d' >= h); the resulting interval is its own image under d -> 4f^2/d.
-    f = mirror.focal_length
-    r = mirror.aperture_radius
-    h = mirror.hole_radius
-    lo = max(h, 4.0 * f * f / r)
-    hi = r if h == 0.0 else min(r, 4.0 * f * f / h)
+def _kept_interval(u_h: float, u_r: float) -> Tuple[float, float]:
+    # Rays must hit the parabola twice (1/u <= u_R) and clear the hole
+    # (1/u >= u_h); the resulting interval is its own image under u -> 1/u.
+    lo = max(u_h, 1.0 / u_r)
+    hi = u_r if u_h == 0.0 else min(u_r, 1.0 / u_h)
     return lo, hi
 
 
@@ -583,38 +571,40 @@ class Recollimation(NamedTuple):
 def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> Recollimation:
     """Collection-side coupling (omega_n_prime, eta_prime, p) of a mirror.
 
-    A ray entering the pupil at radius d exits at d' = 4 f^2 / d, so only
-    d in [max(h, 4 f^2 / R), min(R, 4 f^2 / h)] is re-collimated at all and
-    misses the central hole on the way out; that interval maps onto itself
-    under the involution.  p is the fraction of the beam power landing in
-    the kept interval, omega_n_prime the dipole weight of its angular
-    image, and eta_prime the overlap of the Jacobian-remapped exit beam
-    exit(rho) = beam(4 f^2 / rho) (2f / rho)^2 with the pupil dipole
-    profile A on the same interval.
+    In units of 2f, a ray entering the pupil at u = d / 2f exits at 1 / u,
+    so only u in [max(u_h, 1 / u_R), min(u_R, 1 / u_h)] is re-collimated at
+    all and misses the central hole on the way out; that interval maps
+    onto itself under the involution.  p is the fraction of the beam power
+    landing in the kept interval, omega_n_prime the dipole weight of its
+    angular image, and eta_prime the overlap of the Jacobian-remapped exit
+    beam exit(v) = beam(1 / v) / v^2 with the pupil dipole profile A on
+    the same interval.
 
-    eta_prime is the incident overlap on the kept interval [lo, hi]: with
-    u = d / 2f, A(4 f^2 / d) = u^2 A(d), so rho = 4 f^2 / d turns
-    int exit A rho drho over [lo, hi] into int beam A d dd over
-    [4 f^2 / hi, 4 f^2 / lo] = [lo, hi], and the remap keeps ring power.
+    eta_prime is the incident overlap on the kept interval [lo, hi]:
+    A(1 / u) = u^2 A(u), so v = 1 / u turns int exit A v dv over [lo, hi]
+    into int beam A u du over [1 / hi, 1 / lo] = [lo, hi], and the remap
+    keeps ring power.
 
     Raises DegenerateResultError when no rays survive (p would be 0).
     """
-    lo, hi = _kept_interval(mirror)
+    f = mirror.focal_length
+    u_h, u_r = 0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f
+    lo, hi = _kept_interval(u_h, u_r)
     if not lo < hi:
         raise DegenerateResultError(
             "no rays survive re-collimation for this mirror (p = 0)")
 
-    power_kept = _pupil_power(profile, mirror, lo, hi)
-    power_in = _pupil_power(profile, mirror, mirror.hole_radius, mirror.aperture_radius)
-    if power_in <= 0.0:
+    power_kept = _pupil_power(profile, f, lo, hi)
+    power_in = _pupil_power(profile, f, u_h, u_r)
+    if not 0.0 < power_in < math.inf:
         raise DegenerateResultError(
-            "zero-norm profile on the illuminated annulus")
+            "the beam power on the illuminated annulus is zero or leaves the "
+            "floating-point range")
     p = min(power_kept / power_in, 1.0)
 
     eta_prime = _overlap_from_integrals(
-        _pupil_cross(profile, mirror, lo, hi), power_kept,
-        _dipole_norm(lo, hi, mirror.focal_length))
-    return Recollimation(omega_n_prime=_annulus_weight(mirror, lo, hi),
+        _pupil_cross(profile, f, lo, hi), power_kept, _dipole_norm(lo, hi))
+    return Recollimation(omega_n_prime=_annulus_weight(lo, hi),
                          eta_prime=eta_prime, p=p)
 
 

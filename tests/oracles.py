@@ -17,6 +17,7 @@ from atomphase import (
     kerr_phase,
     phase_asymmetric,
     phase_symmetric,
+    pupil_dipole_profile,
     saturation_at_detuning,
     scattered_power_ratio,
 )
@@ -41,6 +42,19 @@ class DipolePattern:
 
     def amplitude(self, theta: float, phi: float = 0.0) -> float:
         return math.sqrt(self.intensity(theta, phi))
+
+
+def pupil_amplitude(profile, mirror):
+    """A beam profile's amplitude as a function of pupil radius d on the
+    mirror: the d-coordinate integrands the geometry tests start from."""
+    if profile.kind == "flattop":
+        return lambda d: 1.0
+    if profile.kind == "doughnut":
+        w = profile.waist
+        return lambda d: (d / w) * math.exp(-((d / w) ** 2))
+    if profile.kind == "matched":
+        return lambda d: pupil_dipole_profile(d, mirror)
+    return profile.func
 
 
 # --------------------------------------------------------------- sweeps

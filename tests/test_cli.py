@@ -245,6 +245,30 @@ class TestSweep:
         else:
             assert json.loads(out)[2]["phi_rad"] is None
 
+    @pytest.mark.parametrize("coupling, sweep, fixed", [
+        ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": -5, "stop": 0, "count": 2.9}, {"s0": 0.0}),
+        ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": -5, "stop": 0, "count": "3"}, {"s0": 0.0}),
+        ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": -5, "stop": 0, "count": 3}, {"s0": True}),
+        ({"omega_n": True, "eta": 1.0},
+         {"var": "delta", "start": -5, "stop": 0, "count": 3}, {"s0": 0.0}),
+        ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": "-1", "stop": 0, "count": 3}, {"s0": 0.0}),
+        # an integer too large for a float
+        ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": -10**400, "stop": 0, "count": 3}, {"s0": 0.0}),
+    ], ids=["fractional-count", "string-count", "bool-fixed", "bool-coupling",
+            "string-start", "huge-integer-start"])
+    def test_values_are_not_coerced(self, capsys, tmp_path, coupling, sweep, fixed):
+        path = self.config(tmp_path, {"model": "symmetric", "coupling": coupling,
+                                      "sweep": sweep, "fixed": fixed})
+        code, out, err = run_cli(capsys, "sweep", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_key_is_config_error(self, capsys, tmp_path):
         path = self.config(tmp_path, {
             "model": "symmetric",
@@ -362,6 +386,18 @@ class TestGeometry:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--f=1e160", "--R=4e160", "--hole=2e159", "--profile=doughnut:1.3e160"),
+        ("--f=1e-160", "--R=4e-160", "--hole=2e-161", "--profile=doughnut:1.3e-160"),
+    ])
+    def test_mirror_far_from_unit_scale(self, capsys, argv):
+        # every mirror result depends only on R/f, h/f and w/f
+        code, out, _ = run_cli(capsys, "geometry", "mirror", *argv)
+        assert code == 0
+        _, unit, _ = run_cli(capsys, "geometry", "mirror", "--f=1", "--R=4", "--hole=0.2",
+                             "--profile=doughnut:1.3")
+        assert json.loads(out) == pytest.approx(json.loads(unit), rel=1e-12, abs=0.0)
 
     def test_degenerate_mirror_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "geometry", "mirror", "--f", "1",

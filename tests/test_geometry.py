@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from atomphase import (
+    AtomPhaseError,
     BeamProfile,
     ConeAperture,
     DegenerateResultError,
@@ -28,7 +29,7 @@ from atomphase import (
     recollimation_parameters,
 )
 from atomphase import geometry
-from oracles import DipolePattern
+from oracles import DipolePattern, pupil_amplitude
 
 AXIAL = DipoleOrientation.AXIAL
 TRANSVERSE = DipoleOrientation.TRANSVERSE
@@ -213,6 +214,7 @@ class TestPupilDipoleProfile:
     def test_vanishes_at_both_ends(self):
         assert pupil_dipole_profile(1e-9, self.MIRROR) < 1e-8
         assert pupil_dipole_profile(1e9, self.MIRROR) < 1e-8
+        assert 0.0 <= pupil_dipole_profile(1e100, self.MIRROR) < 1e-8
 
     def test_rejects_non_positive_radius(self):
         with pytest.raises(DomainError):
@@ -248,7 +250,7 @@ class TestPupilDipoleProfile:
 
 def profile_to_angular(profile, mirror):
     """Jacobian remap of a pupil profile to the angular side (test oracle)."""
-    beam = profile.pupil_amplitude(mirror)
+    beam = pupil_amplitude(profile, mirror)
     f = mirror.focal_length
 
     def angular(theta):
@@ -298,7 +300,7 @@ class TestOverlap:
         theta_hi = parabola_ray_map(lo, self.MIRROR).theta
         theta_lo = parabola_ray_map(hi, self.MIRROR).theta
         for profile in profiles:
-            beam = profile.pupil_amplitude(self.MIRROR)
+            beam = pupil_amplitude(profile, self.MIRROR)
             angular = profile_to_angular(profile, self.MIRROR)
             pupil_norm = quad(lambda d: beam(d) ** 2 * 2.0 * math.pi * d,
                               lo, hi, epsabs=1e-13, limit=200)[0]
@@ -327,9 +329,28 @@ class TestOverlap:
         with pytest.raises(DegenerateResultError):
             overlap_eta(BeamProfile.flat_top(), self.MIRROR, (0.0, 1e-80))
 
+    @pytest.mark.parametrize("geometry_, region", [
+        (ParabolicMirror(1.0, 4.0), (0.0, 1e-60)),
+        (ParabolicMirror(1.0, 4.0), (0.0, 1e-76)),
+        (ConeAperture(1.0, AXIAL), (0.0, 1e-60)),
+    ])
+    def test_narrow_region_keeps_precision(self, geometry_, region):
+        # near the vertex or the axis the flat-top overlap tends to
+        # 2 sqrt(2) / 3; both norms are normal, but their product underflows
+        eta = overlap_eta(BeamProfile.flat_top(), geometry_, region)
+        assert eta == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-12, abs=0.0)
+
     def test_bad_region_rejected(self):
         with pytest.raises(DomainError):
             overlap_eta(BeamProfile.flat_top(), self.MIRROR, (3.0, 2.0))
+
+    def test_overflowing_custom_profile_rejected(self):
+        huge = BeamProfile.custom(lambda x: 1e200)
+        for geometry_ in (self.MIRROR, ConeAperture(1.0, AXIAL)):
+            with pytest.raises(DomainError):
+                overlap_eta(huge, geometry_)
+        with pytest.raises(DomainError):
+            recollimation_parameters(self.MIRROR, huge)
 
 
 class TestRecollimation:
@@ -356,7 +377,7 @@ class TestRecollimation:
         # eta_prime denominators: remapped power equals kept power
         mirror = ParabolicMirror(focal_length=1.0, aperture_radius=6.0,
                                  hole_radius=0.3)
-        beam = BeamProfile.doughnut(1.4).pupil_amplitude(mirror)
+        beam = pupil_amplitude(BeamProfile.doughnut(1.4), mirror)
         f = mirror.focal_length
         lo = max(mirror.hole_radius, 4.0 * f * f / mirror.aperture_radius)
         hi = min(mirror.aperture_radius, 4.0 * f * f / mirror.hole_radius)
@@ -455,25 +476,36 @@ def seeded_mirrors(seed, f, count):
     return mirrors
 
 
+def kept_interval(mirror):
+    """The library's kept interval, in units of 2f."""
+    f = mirror.focal_length
+    return geometry._kept_interval(0.5 * mirror.hole_radius / f,
+                                   0.5 * mirror.aperture_radius / f)
+
+
 def exit_beam_overlap(beam, mirror, scales):
     """eta_prime from its original integrand: the re-collimated exit beam
     beam(4 f^2 / rho) (2f / rho)^2 against the pupil dipole profile on the
     kept interval, normalised by the kept power and the dipole norm there.
+    The library's norms are in units of 2f, so 4 f^2 times smaller than in d.
     At 2e-14 the rapidly decaying exit Gaussians trip QUADPACK's roundoff
     detector; 1e-13 is still 100 times tighter than the checks."""
     f = mirror.focal_length
-    lo, hi = geometry._kept_interval(mirror)
-    amplitude = beam.pupil_amplitude(mirror)
+    lo, hi = kept_interval(mirror)
+    amplitude = pupil_amplitude(beam, mirror)
     cross = oracle_quad(
         lambda rho: (amplitude(4.0 * f * f / rho) * (2.0 * f / rho) ** 2
                      * pupil_dipole_profile(rho, mirror) * rho),
-        lo, hi, scales=(2.0 * f,) + scales, epsrel=1e-13)
-    return cross / math.sqrt(geometry._pupil_power(beam, mirror, lo, hi)
-                             * geometry._dipole_norm(lo, hi, f))
+        2.0 * f * lo, 2.0 * f * hi, scales=(2.0 * f,) + scales, epsrel=1e-13)
+    return cross / (4.0 * f * f) / math.sqrt(geometry._pupil_power(beam, f, lo, hi)
+                                             * geometry._dipole_norm(lo, hi))
 
 
 class TestClosedForms:
-    """Each closed form against quadrature of its original integrand."""
+    """Each closed form against quadrature of its original integrand.
+
+    The library integrates over u = d / 2f with measure u du; each oracle
+    integrates the original integrand over d and divides by 4 f^2."""
 
     RTOL = 1e-11
 
@@ -482,24 +514,23 @@ class TestClosedForms:
         mirror = ParabolicMirror(focal_length=f, aperture_radius=1e6 * f)
         dip = lambda d: pupil_dipole_profile(d, mirror)
         closed = {
-            "dipole norm": (lambda lo, hi: geometry._dipole_norm(lo, hi, f),
-                            lambda d: dip(d) ** 2 * d),
+            "dipole norm": (geometry._dipole_norm, lambda d: dip(d) ** 2 * d),
             "flat-top power": (
-                lambda lo, hi: geometry._pupil_power(FLAT, mirror, lo, hi),
+                lambda lo, hi: geometry._pupil_power(FLAT, f, lo, hi),
                 lambda d: d),
             "flat-top cross": (
-                lambda lo, hi: geometry._pupil_cross(FLAT, mirror, lo, hi),
+                lambda lo, hi: geometry._pupil_cross(FLAT, f, lo, hi),
                 lambda d: dip(d) * d),
             "matched power": (
-                lambda lo, hi: geometry._pupil_power(MATCHED, mirror, lo, hi),
+                lambda lo, hi: geometry._pupil_power(MATCHED, f, lo, hi),
                 lambda d: dip(d) ** 2 * d),
         }
         for lo, hi in pupil_regions(seed=int(f * 100), count=25):
             lo, hi = lo * f, hi * f
             for name, (value, integrand) in closed.items():
-                expected = oracle_quad(integrand, lo, hi, scales=(2.0 * f,))
-                assert value(lo, hi) == pytest.approx(expected, rel=self.RTOL, abs=0.0), (
-                    name, lo, hi)
+                expected = oracle_quad(integrand, lo, hi, scales=(2.0 * f,)) / (4.0 * f * f)
+                assert value(lo / (2.0 * f), hi / (2.0 * f)) == pytest.approx(
+                    expected, rel=self.RTOL, abs=0.0), (name, lo, hi)
         rng = np.random.default_rng(int(f * 100) + 3)
         for design in seeded_mirrors(seed=int(f * 100) + 5, f=f, count=12):
             g = 10.0 ** rng.uniform(-1.0, 1.0) * f
@@ -515,13 +546,13 @@ class TestClosedForms:
         for lo, hi in pupil_regions(seed=61, count=30):
             w = 10.0 ** rng.uniform(-2.0, 1.0)
             beam = BeamProfile.doughnut(w)
-            amplitude = beam.pupil_amplitude(mirror)
+            amplitude = pupil_amplitude(beam, mirror)
             expected = oracle_quad(lambda d: amplitude(d) ** 2 * d, lo, hi,
                                    scales=(w,))
             if expected < 1e-250:
                 continue
-            assert geometry._pupil_power(beam, mirror, lo, hi) == pytest.approx(
-                expected, rel=self.RTOL, abs=0.0), (w, lo, hi)
+            assert geometry._pupil_power(beam, 1.0, lo / 2.0, hi / 2.0) == pytest.approx(
+                expected / 4.0, rel=self.RTOL, abs=0.0), (w, lo, hi)
 
     @pytest.mark.parametrize("f", [0.37, 1.0, 6.1])
     def test_doughnut_cross_terms(self, f):
@@ -542,8 +573,8 @@ class TestClosedForms:
             expected = oracle_quad(lambda d: ring(d, w) * dip(d) * d, lo, hi, scales=scales)
             if expected < 1e-250:
                 continue
-            assert geometry._pupil_cross(beam, mirror, lo, hi) == pytest.approx(
-                expected, rel=self.RTOL, abs=0.0), (w, lo, hi)
+            assert geometry._pupil_cross(beam, f, lo / (2.0 * f), hi / (2.0 * f)) == (
+                pytest.approx(expected / (4.0 * f * f), rel=self.RTOL, abs=0.0)), (w, lo, hi)
         for design in seeded_mirrors(seed=int(f * 100) + 13, f=f, count=12):
             w = 10.0 ** rng.uniform(-0.5, 1.0) * f
             beam = BeamProfile.doughnut(w)
@@ -628,11 +659,12 @@ class TestCustomProfileAccuracy:
     GAUSSIAN = BeamProfile.custom(lambda d, w=W: math.exp(-(d / w) ** 2))
 
     def test_kept_power_matches_closed_form(self):
-        lo, hi = geometry._kept_interval(self.MIRROR)
-        w = self.W
+        # in d the kept power is 4 f^2 times the library's, over d = f (2u)
+        f, w = self.MIRROR.focal_length, self.W
+        lo, hi = (f * (2.0 * u) for u in kept_interval(self.MIRROR))
         exact = 0.25 * w * w * (math.exp(-2.0 * (lo / w) ** 2) - math.exp(-2.0 * (hi / w) ** 2))
-        kept = geometry._pupil_power(self.GAUSSIAN, self.MIRROR, lo, hi)
-        assert kept == pytest.approx(exact, rel=1e-12, abs=0.0)
+        kept = geometry._pupil_power(self.GAUSSIAN, f, lo / (2.0 * f), hi / (2.0 * f))
+        assert kept == pytest.approx(exact / (4.0 * f * f), rel=1e-12, abs=0.0)
 
     def test_eta_prime(self):
         # exact value from the closed-form kept power and a 30-digit exit cross term
@@ -662,23 +694,53 @@ class TestExtremeWaists:
 
 
 class TestPupilScale:
-    # eta, eta_prime and p depend only on w/f, R/f and h/f; at these scales
-    # the product of the two norms leaves the floating-point range
-    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    # eta, eta_prime, p and the ray map depend only on w/f, R/f and h/f; at
+    # these scales 4 f^2, or the product of the two norms, leaves the
+    # floating-point range
+    SCALES = [1e-300, 1e-160, 1e-100, 1e100, 1e160, 1e300]
+    PROFILES = {
+        "flattop": lambda scale: FLAT,
+        "matched": lambda scale: MATCHED,
+        "doughnut": lambda scale: BeamProfile.doughnut(1.4 * scale),
+        "custom": lambda scale: BeamProfile.custom(
+            lambda d: math.exp(-(d / (1.4 * scale)) ** 2)),
+    }
+
+    @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("hole", [0.0, 0.2])
     def test_scale_invariance(self, scale, hole):
-        for profile in (FLAT, MATCHED, BeamProfile.doughnut(1.4)):
-            scaled_profile = (BeamProfile.doughnut(1.4 * scale)
-                              if profile.kind == "doughnut" else profile)
+        for kind, profile in self.PROFILES.items():
             mirror = ParabolicMirror(1.0, 4.0, hole)
             scaled = ParabolicMirror(scale, 4.0 * scale, hole * scale)
-            unit = (overlap_eta(profile, mirror),
-                    *recollimation_parameters(mirror, profile))
-            values = (overlap_eta(scaled_profile, scaled),
-                      *recollimation_parameters(scaled, scaled_profile))
-            assert values == pytest.approx(unit, rel=1e-12, abs=0.0), profile.kind
-            if profile.kind == "matched":
+            unit = (overlap_eta(profile(1.0), mirror),
+                    *recollimation_parameters(mirror, profile(1.0)))
+            values = (overlap_eta(profile(scale), scaled),
+                      *recollimation_parameters(scaled, profile(scale)))
+            assert values == pytest.approx(unit, rel=1e-12, abs=0.0), kind
+            if kind == "matched":
                 assert values[0] == values[2] == 1.0
+
+    @pytest.mark.parametrize("f, r, hole", [(1.0, 1e60, 0.2), (1.0, 1e160, 0.2),
+                                            (1e-8, 1e300, 0.0)])
+    def test_huge_aperture_ratio(self, f, r, hole):
+        # far past any real mirror, but every result is still in [0, 1] or an
+        # AtomPhaseError: never an OverflowError or NaN
+        mirror = ParabolicMirror(f, r, hole)
+        for kind, profile in self.PROFILES.items():
+            for compute in (lambda: [overlap_eta(profile(f), mirror)],
+                            lambda: recollimation_parameters(mirror, profile(f))):
+                try:
+                    values = compute()
+                except AtomPhaseError:
+                    continue
+                assert all(0.0 <= v <= 1.0 for v in values), kind
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_ray_map(self, scale):
+        mapping = parabola_ray_map(3.0 * scale, ParabolicMirror(scale, 4.0 * scale))
+        unit = parabola_ray_map(3.0, ParabolicMirror(1.0, 4.0))
+        assert mapping.d_prime == pytest.approx(4.0 * scale / 3.0, rel=1e-15, abs=0.0)
+        assert mapping.theta == pytest.approx(unit.theta, rel=1e-15, abs=0.0)
 
 
 class TestNonFiniteInputs:
