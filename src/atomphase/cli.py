@@ -121,10 +121,19 @@ def _cmd_eval(args) -> int:
     row = evaluate_point(args.model, coupling, args.delta, args.s0,
                          degenerate_ok=False)
     if args.format == "json":
-        sys.stdout.write(json.dumps(row_to_dict(row), indent=2) + "\n")
+        _print_json(row_to_dict(row))
     else:
         sys.stdout.write(rows_to_csv([row]))
     return 0
+
+
+def _print_json(payload: dict) -> None:
+    # strict RFC 8259: a NaN or an infinity is an error, never a bare NaN
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {payload!r}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _spec_from_config(config: dict) -> SweepSpec:
@@ -181,7 +190,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    # every row is computed (and validated) before the first byte is written
+    # every point is validated before the first byte is written
     rows = _sweep_rows(_spec_from_config(config))
     if args.format == "json":
         _write_json(sys.stdout.write, rows)
@@ -206,7 +215,7 @@ def _cmd_geometry_cone(args) -> int:
     cone = ConeAperture(half_angle=args.alpha,
                         orientation=DipoleOrientation(args.orientation))
     payload = {"omega_n": cone_weighted_solid_angle(cone)}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _print_json(payload)
     return 0
 
 
@@ -242,7 +251,7 @@ def _cmd_geometry_mirror(args) -> int:
         payload["eta"] = overlap_eta(profile, mirror)
         payload["eta_prime"] = recol.eta_prime
         payload["p"] = recol.p
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _print_json(payload)
     return 0
 
 

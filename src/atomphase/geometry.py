@@ -153,12 +153,16 @@ def parabola_ray_map(d: float, mirror: ParabolicMirror) -> RayMapping:
     the mirror at d' = 4 f^2 / d, an involution exchanging the inner and
     outer pupil.
     """
-    if d <= 0:
-        raise DomainError(f"pupil radius must be positive, got {d!r}")
+    if not (d > 0 and math.isfinite(d)):
+        raise DomainError(f"pupil radius must be positive and finite, got {d!r}")
     f = mirror.focal_length
     # d' = 4 f^2 / d, ordered so that f^2 is never formed and nothing is
     # divided by a u = d / 2f that underflowed to 0
-    return RayMapping(theta=_ray_angle(0.5 * d / f), d_prime=4.0 * (f / d) * f)
+    d_prime = 4.0 * (f / d) * f
+    if math.isinf(d_prime):
+        raise DomainError(
+            f"pupil radius {d!r} is too small: its image 4 f^2 / d overflows")
+    return RayMapping(theta=_ray_angle(0.5 * d / f), d_prime=d_prime)
 
 
 def _ray_angle(u: float) -> float:
@@ -250,6 +254,10 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
     except OverflowError as exc:
         raise DomainError(
             f"custom profile leaves the floating-point range: {exc}") from exc
+    # checked once per integral, not per integrand call: a NaN or infinite
+    # amplitude anywhere leaves a non-finite integral
+    if not math.isfinite(value):
+        raise DomainError(f"custom profile gives a non-finite integral ({value!r})")
     return value
 
 

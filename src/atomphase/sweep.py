@@ -6,16 +6,17 @@ Degenerate grid points (where the phase is undefined) become flagged rows
 with empty phase fields instead of aborting a scan.  CSV output is fully
 deterministic: fixed column order, 17 significant digits, '\\n' endings.
 
-A sweep is computed column by column over the whole grid and then
-streamed to CSV or JSON in chunks of a fixed number of rows.  The columns
-are bit-identical to evaluating the scalar functions of
-:mod:`atomphase.phase` point by point: numpy does only + - * / and sqrt,
-which IEEE 754 rounds exactly, while every power and arctangent goes
-through ``math.pow`` / ``math.atan2``, the platform libm that the scalar
-code calls too.  numpy's vectorised ``power`` and ``arctan2`` differ from
-libm by up to 4 ulp and may vary with the CPU's instruction set, which
-would move printed digits.  Every input is validated before the first
-byte is written, so a sweep that fails writes nothing.
+A sweep makes two passes over its grid, in chunks of a fixed number of
+rows.  The first checks every point, so a sweep that fails writes
+nothing; the second computes each chunk's columns, renders them as CSV
+or JSON and drops them, so memory does not grow with the grid beyond the
+grid itself (8 bytes a point).  The columns are bit-identical to
+evaluating the scalar functions of :mod:`atomphase.phase` point by point:
+numpy does only + - * / and sqrt, which IEEE 754 rounds exactly, while
+every power and arctangent goes through ``math.pow`` / ``math.atan2``,
+the platform libm that the scalar code calls too.  numpy's vectorised
+``power`` and ``arctan2`` differ from libm by up to 4 ulp and may vary
+with the CPU's instruction set, which would move printed digits.
 """
 
 from __future__ import annotations
@@ -94,13 +95,16 @@ class SweepRange:
 
     def grid(self) -> List[float]:
         """Grid values in ascending order; log spacing is geometric."""
+        return self._array().tolist()
+
+    def _array(self) -> np.ndarray:
         lo, hi = sorted((self.start, self.stop))
         if self.spacing == "log":
-            return np.geomspace(lo, hi, self.count).tolist()
+            return np.geomspace(lo, hi, self.count)
         # at the edge of the float range (hi - lo) / (count - 1) * (count - 1)
         # may round past it; numpy then overwrites that last point with hi
         with np.errstate(over="ignore"):
-            return np.linspace(lo, hi, self.count).tolist()
+            return np.linspace(lo, hi, self.count)
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,8 @@ _DEGREES = math.degrees(1.0)   # math.degrees(x) is x times this constant
 _BRANCHES = np.array([PhaseBranch.GENERIC.value, PhaseBranch.PI.value,
                       PhaseBranch.ZERO.value, PhaseBranch.BOUNDARY.value], dtype=object)
 
+_CHUNK_ROWS = 1024   # rows computed, rendered and written at a time
+
 
 def _pow(base, exponent: float):
     """libm's pow, elementwise over an array, as the scalar code computes it."""
@@ -199,104 +205,157 @@ def _pow(base, exponent: float):
     return math.pow(base, exponent)
 
 
-def _reject(bad: np.ndarray, delta: np.ndarray, s0: np.ndarray) -> None:
-    """Raise detuned_drive's error at the first point where bad is set."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        detuned_drive(float(delta[i]), float(s0[i]))
+def _column(values):
+    """A chunk's column: a list of Python values, or one value for all rows."""
+    return values.tolist() if isinstance(values, (np.ndarray, np.generic)) else values
 
 
-def _rows(model: str, coupling: Coupling, swept: Sequence, delta: np.ndarray,
-          drive: Tuple[str, np.ndarray], omega_n, eta) -> Iterator[tuple]:
-    """The rows at these points as value tuples in CSV_COLUMNS order.
+def _each(values, m: int) -> Iterable:
+    """m values: a list of an array's, or one number m times."""
+    return values.tolist() if np.ndim(values) else repeat(values, m)
 
-    Every column is computed over all points, and every point validated,
-    before this returns; the tuples are then assembled chunk by chunk.
-    ``drive`` is ("s0", values) or ("s", values), one per row; omega_n and
-    eta are the coupling's own values or, when swept, one per row.  Each
-    expression keeps the operation order of the scalar functions in
-    :mod:`atomphase.phase` and :mod:`atomphase.atom`.
+
+def _rows(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple[str, object],
+          omega_n, eta) -> Iterator[list]:
+    """The rows at these points as column chunks in CSV_COLUMNS order.
+
+    ``swept`` holds one value per row.  delta, the drive values (``drive``
+    is ("s0", values) or ("s", values)), omega_n and eta are each either
+    an array with one value per row or one number for every row.  Every
+    point is validated before this returns (pass 1); the columns are then
+    computed chunk by chunk as the iterator is consumed (pass 2), so only
+    the inputs span the whole grid.
+
+    A chunk's column is a list with one value per row, or a single value
+    when every row shares it: delta, s0, s and coherent_fraction when
+    their inputs are single numbers, and model.  Where delta or s0 is the
+    swept array itself, that column is the very list of swept_value.
+    Which columns are single values, and which share swept_value's list,
+    is the same in every chunk.
     """
     n = len(swept)
-    # Python floats overflow to inf without a warning, and so do these
-    # columns: (1+s)^1.5 (1+4 delta^2) may overflow where the phase tends to 0.
-    with np.errstate(over="ignore"):
-        # atom.detuned_drive's rules in its order, each over the whole grid
-        lorentz = 1.0 + 4.0 * delta * delta
-        name, values = drive
-        _reject(~np.isfinite(delta), delta, values)
-        _reject(~np.isfinite(lorentz), delta, values)
-        s0 = values * lorentz if name == "s" else values
-        _reject(~np.isfinite(s0), delta, s0)
-        _reject(s0 < 0.0, delta, s0)
-        s = s0 / lorentz
-        onep = 1.0 + s
-        # (1+s)^2 overflows somewhere iff it does at the largest 1 + s, and
-        # detuned_drive decides that with the same math.pow as _pow below
-        i = int(np.argmax(onep))
-        detuned_drive(float(delta[i]), float(s0[i]))
-        pow2 = _pow(onep, 2.0)
-        ratio = 4.0 * omega_n * eta * eta / (lorentz * pow2)
-        fraction = 1.0 / onep
+    _validate(delta, drive, n)
+    if model == "asymmetric" and coupling.p == 0:
+        raise DomainError("p must be positive for a defined phase")
+    return _chunks(model, coupling, swept, delta, drive, omega_n, eta, n)
 
-        if model == "kerr":
-            weight = 2.0 * omega_n * _pow(eta, 2.0)
-            denom = lorentz - weight
-            boundary = denom == 0.0
-            phi = -2.0 * weight * delta / np.where(boundary, 1.0, denom) * (1.0 - 1.5 * s)
-            code = np.where(boundary, 3, 0)
-        else:
-            if model == "asymmetric":
-                if coupling.p == 0:
-                    raise DomainError("p must be positive for a defined phase")
-                weight = (2.0 * np.sqrt(omega_n * coupling.omega_n_prime)
-                          * eta * coupling.eta_prime)
-                real = math.sqrt(coupling.p) * _pow(onep, 1.5) * lorentz - weight
+
+def _part(values, lo: int):
+    """Rows [lo, lo + _CHUNK_ROWS) of a per-row input; a single number as is."""
+    return values[lo:lo + _CHUNK_ROWS] if isinstance(values, (np.ndarray, list)) else values
+
+
+def _validate(delta, drive: Tuple[str, object], n: int) -> None:
+    """Pass 1: atom.detuned_drive's rules in its order, each over the whole
+    grid, raising its error at the first point of the first rule that fails.
+
+    Chunk by chunk, only the first failing point of each rule is kept, and
+    the point where 1 + s is largest: (1+s)^2 overflows somewhere iff it
+    does there, and detuned_drive decides that with the same math.pow as
+    _pow in pass 2.
+    """
+    name, values = drive
+    first: List[Optional[Tuple[float, float]]] = [None] * 4
+    top = None   # (1 + s, delta, s0) at the first largest 1 + s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK_ROWS):
+            d, v = _part(delta, lo), _part(values, lo)
+            lorentz = 1.0 + 4.0 * d * d
+            s0 = v * lorentz if name == "s" else v
+            onep = 1.0 + s0 / lorentz
+            rules = ((~np.isfinite(d), v), (~np.isfinite(lorentz), v),
+                     (~np.isfinite(s0), s0), (s0 < 0.0, s0))
+            for k, (bad, given) in enumerate(rules):
+                if first[k] is None and np.any(bad):
+                    i = int(np.argmax(bad))
+                    first[k] = (_item(d, i), _item(given, i))
+            i = int(np.argmax(onep))
+            if top is None or _item(onep, i) > top[0]:
+                top = (_item(onep, i), _item(d, i), _item(s0, i))
+    for point in first:
+        if point is not None:
+            detuned_drive(*point)
+    detuned_drive(*top[1:])
+
+
+def _item(values, i: int) -> float:
+    return float(values[i]) if np.ndim(values) else float(values)
+
+
+def _chunks(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple[str, object],
+            omega_n, eta, n: int) -> Iterator[list]:
+    """Pass 2: each chunk's columns.  Each expression keeps the operation
+    order of the scalar functions in :mod:`atomphase.phase` and
+    :mod:`atomphase.atom`; a single number gives the same bits as an array
+    of it, because numpy and Python floats both round every + - * / by
+    IEEE 754."""
+    name, values = drive
+    for lo in range(0, n, _CHUNK_ROWS):
+        w = _part(swept, lo)
+        # an input that is the swept array itself gets the very same slice
+        d, v, on, et = (w if x is swept else _part(x, lo) for x in (delta, values, omega_n, eta))
+        m = len(w)
+        # Python floats overflow to inf without a warning, and so do these
+        # columns: (1+s)^1.5 (1+4 delta^2) may overflow where the phase tends to 0.
+        with np.errstate(over="ignore"):
+            lorentz = 1.0 + 4.0 * d * d
+            s0 = v * lorentz if name == "s" else v
+            s = s0 / lorentz
+            onep = 1.0 + s
+            ratio = 4.0 * on * et * et / (lorentz * _pow(onep, 2.0))
+            fraction = 1.0 / onep
+            if model == "kerr":
+                weight = 2.0 * on * _pow(et, 2.0)
+                denom = lorentz - weight
+                boundary = denom == 0.0
+                phi = np.broadcast_to(
+                    -2.0 * weight * d / np.where(boundary, 1.0, denom) * (1.0 - 1.5 * s), m)
+                phi_rad = phi.tolist()
+                code = np.where(boundary, 3, 0)
             else:
-                weight = 2.0 * omega_n * _pow(eta, 2.0)
-                real = _pow(onep, 1.5) * lorentz - weight
-            # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
-            imag = -2.0 * weight * delta + 0.0
-            boundary = (real == 0.0) & (imag == 0.0)
-            phi = np.array(list(map(math.atan2, imag.tolist(), real.tolist())))
-            code = np.where(imag != 0.0, 0, np.where(real < 0.0, 1, 2))
-            code[boundary] = 3
-
-    columns = {
-        "swept_value": swept, "delta": delta, "s0": s0, "s": s, "phi_rad": phi,
-        "phi_deg": phi * _DEGREES, "branch": _BRANCHES[code],
-        "p_sc_over_p": ratio, "coherent_fraction": fraction, "model": [model] * n,
-    }
-    return _tuples(columns, boundary, n)
-
-
-def _tuples(columns: Dict[str, Sequence], boundary: np.ndarray, n: int) -> Iterator[tuple]:
-    """Row tuples from the columns, converted to Python values one chunk at
-    a time so that only the float64 arrays live for the whole grid."""
-    for start in range(0, n, _CHUNK_ROWS):
-        part = {name: column[start:start + _CHUNK_ROWS] for name, column in columns.items()}
-        part = {name: column.tolist() if isinstance(column, np.ndarray) else column
-                for name, column in part.items()}
-        for i in np.flatnonzero(boundary[start:start + _CHUNK_ROWS]).tolist():
-            part["phi_rad"][i] = part["phi_deg"][i] = None
-        yield from zip(*[part[name] for name in CSV_COLUMNS])
+                if model == "asymmetric":
+                    weight = (2.0 * np.sqrt(on * coupling.omega_n_prime)
+                              * et * coupling.eta_prime)
+                    real = math.sqrt(coupling.p) * _pow(onep, 1.5) * lorentz - weight
+                else:
+                    weight = 2.0 * on * _pow(et, 2.0)
+                    real = _pow(onep, 1.5) * lorentz - weight
+                # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
+                imag = -2.0 * weight * d + 0.0
+                boundary = (real == 0.0) & (imag == 0.0)
+                phi_rad = list(map(math.atan2, _each(imag, m), _each(real, m)))
+                phi = np.array(phi_rad)
+                code = np.where(boundary, 3,
+                                np.where(imag != 0.0, 0, np.where(real < 0.0, 1, 2)))
+        phi_deg = (phi * _DEGREES).tolist()
+        for i in np.flatnonzero(np.broadcast_to(boundary, m)).tolist():
+            phi_rad[i] = phi_deg[i] = None
+        swept_column = _column(w)
+        yield [swept_column,
+               swept_column if d is w else _column(d),
+               swept_column if s0 is w else _column(s0),
+               _column(s), phi_rad, phi_deg, _BRANCHES[np.broadcast_to(code, m)].tolist(),
+               _column(ratio), _column(fraction), model]
 
 
-def _sweep_rows(spec: SweepSpec) -> Iterator[tuple]:
-    """The sweep's rows as value tuples, in ascending swept order."""
-    grid = spec.range.grid()
-    values = np.array(grid)
+def _sweep_rows(spec: SweepSpec) -> Iterator[list]:
+    """The sweep's rows as column chunks (see _rows), in ascending swept order.
+
+    Only the grid spans the whole sweep; a fixed delta or drive stays one
+    number.
+    """
+    values = spec.range._array()
     var, fixed, coupling = spec.var, spec.fixed, spec.coupling
     if var in ("omega_n", "eta"):
         # the coupling's own range checks, on the smallest and largest value
-        for value in (grid[0], grid[-1]):
-            replace(coupling, **{var: value})
-    delta = values if var == "delta" else np.full(len(grid), float(fixed["delta"]))
+        for value in (values[0], values[-1]):
+            replace(coupling, **{var: float(value)})
+    delta = values if var == "delta" else float(fixed["delta"])
     if var in ("s0", "s"):
         drive = (var, values)
     else:
         name = "s0" if "s0" in fixed else "s"
-        drive = (name, np.full(len(grid), float(fixed[name])))
+        drive = (name, float(fixed[name]))
     return _rows(spec.model, coupling, values, delta, drive,
                  values if var == "omega_n" else coupling.omega_n,
                  values if var == "eta" else coupling.eta)
@@ -318,9 +377,9 @@ def evaluate_point(
     Non-finite or negative drive parameters raise DomainError.
     """
     _check_model_coupling(model, coupling)
-    row = ResultRow(*next(_rows(
+    row = ResultRow(*next(_tuples(_rows(
         model, coupling, [swept_value], np.array([delta], dtype=float),
-        ("s0", np.array([s0], dtype=float)), coupling.omega_n, coupling.eta)))
+        ("s0", np.array([s0], dtype=float)), coupling.omega_n, coupling.eta))))
     if row.branch == PhaseBranch.BOUNDARY.value and not degenerate_ok:
         if model == "kerr":
             raise PoleError(KERR_POLE_MESSAGE)
@@ -330,20 +389,25 @@ def evaluate_point(
 
 def run_sweep(spec: SweepSpec) -> List[ResultRow]:
     """Evaluate the grid, one row per point, in ascending swept order."""
-    return [ResultRow(*values) for values in _sweep_rows(spec)]
+    return [ResultRow(*values) for values in _tuples(_sweep_rows(spec))]
 
 
 # ----------------------------------------------------------------- writers
 
-_CHUNK_ROWS = 4096   # rows rendered per write
-_CSV_ROW = ",".join("%s" if text else "%.17g" for text in _TEXT) + "\n"
-# One object of json.dumps(rows, indent=2): %r spells a finite float, and
-# "%s" a string that needs no escape, as JSON does.
-_JSON_ROW = "  {\n" + ",\n".join(
-    f"    {json.dumps(name)}: " + ('"%s"' if text else "%r")
-    for name, text in zip(CSV_COLUMNS, _TEXT)) + "\n  }"
-_JSON_ANY_ROW = "  {\n" + ",\n".join(
-    f"    {json.dumps(name)}: %s" for name in CSV_COLUMNS) + "\n  }"
+def _csv_line(pieces: Sequence[str]) -> str:
+    return ",".join(pieces) + "\n"
+
+
+def _json_object(pieces: Sequence[str]) -> str:
+    """One object of json.dumps(rows, indent=2), with these value spellings."""
+    return "  {\n" + ",\n".join(
+        f"    {json.dumps(name)}: {piece}" for name, piece in zip(CSV_COLUMNS, pieces)) + "\n  }"
+
+
+_CSV_ROW = _csv_line(["%s" if text else "%.17g" for text in _TEXT])
+# %r spells a finite float, and "%s" a string that needs no escape, as JSON does.
+_JSON_ROW = _json_object(['"%s"' if text else "%r" for text in _TEXT])
+_JSON_ANY_ROW = _json_object(["%s"] * len(CSV_COLUMNS))
 
 
 def _format_value(value) -> str:
@@ -354,10 +418,58 @@ def _format_value(value) -> str:
     return format(value, ".17g")
 
 
-def _chunks(rows: Iterable[tuple]) -> Iterator[List[tuple]]:
+def _json_value(value, allow_nan: bool) -> str:
+    try:
+        return json.dumps(value, allow_nan=allow_nan)
+    except ValueError:
+        raise DomainError(f"JSON has no spelling for the value {value!r}") from None
+
+
+def _row_chunks(rows: Iterable[ResultRow]) -> Iterator[list]:
+    """Column chunks (see _rows) of ResultRows; every column is a list."""
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield chunk
+        yield [list(column) for column in zip(*map(_row_values, chunk))]
+
+
+def _tuples(chunks: Iterable[list]) -> Iterator[tuple]:
+    """Row tuples in CSV_COLUMNS order from column chunks."""
+    for columns in chunks:
+        yield from zip(*[c if isinstance(c, list) else repeat(c) for c in columns])
+
+
+def _template(columns: list, constant: Callable[[object], str], number: str, text: str,
+              row: Callable[[Sequence[str]], str]) -> str:
+    """The row template of a sweep, from its first chunk.
+
+    A single-value column is spelled once, by ``constant``, into the
+    template.  swept_value and a column that shares its list take "%s":
+    _fill spells that list once per chunk.  Every other column takes the
+    ``number`` or ``text`` placeholder.
+    """
+    shared = _shares_swept(columns)
+    pieces = []
+    for column, is_text in zip(columns, _TEXT):
+        if not isinstance(column, list):
+            pieces.append(constant(column).replace("%", "%%"))
+        elif shared and column is columns[0]:
+            pieces.append("%s")
+        else:
+            pieces.append(text if is_text else number)
+    return row(pieces)
+
+
+def _shares_swept(columns: list) -> bool:
+    return any(column is columns[0] for column in columns[1:])
+
+
+def _fill(template: str, columns: list, spell: Callable[[object], str]) -> List[str]:
+    """The chunk's rows rendered with the sweep's template."""
+    varying = [column for column in columns if isinstance(column, list)]
+    if _shares_swept(columns):
+        spelled = list(map(spell, columns[0]))
+        varying = [spelled if column is columns[0] else column for column in varying]
+    return [template % values for values in zip(*varying)]
 
 
 def _csv_row(values: tuple) -> str:
@@ -367,22 +479,28 @@ def _csv_row(values: tuple) -> str:
         return ",".join(map(_format_value, values)) + "\n"
 
 
-def _write_csv(write: Callable[[str], object], rows: Iterable[tuple],
+def _write_csv(write: Callable[[str], object], chunks: Iterable[list],
                comments: Sequence[str] = ()) -> None:
-    """Write CSV from value tuples in CSV_COLUMNS order, one '#' line per comment."""
+    """Write CSV from column chunks (see _rows), one '#' line per comment."""
     write("".join(f"# {comment}\n" for comment in comments) + ",".join(CSV_COLUMNS) + "\n")
-    for chunk in _chunks(rows):
+    template = None
+    for columns in chunks:
+        if template is None:
+            template = _template(columns, _format_value, "%.17g", "%s", _csv_line)
         try:
-            text = "".join([_CSV_ROW % values for values in chunk])
-        except TypeError:
-            text = "".join([_csv_row(values) for values in chunk])
+            text = "".join(_fill(template, columns, "%.17g".__mod__))
+        except TypeError:   # an empty (None) phase field
+            text = "".join([_csv_row(values) for values in _tuples([columns])])
         write(text)
 
 
-def _json_plain(values: Sequence, text: bool) -> bool:
-    """True when _JSON_ROW spells every value as json.dumps does: finite
-    numbers, or strings that JSON quotes without escapes.  A sum that
+def _json_plain(values, text: bool) -> bool:
+    """True when the template spells every value of a column as json.dumps
+    does: finite numbers, or strings that JSON quotes without escapes.  A
+    single-value column is spelled by json.dumps itself.  A sum that
     overflows reads as not finite; those values take the slow path."""
+    if not isinstance(values, list):
+        return True
     if text:
         return all(json.dumps(value) == f'"{value}"' for value in set(values))
     try:
@@ -391,21 +509,28 @@ def _json_plain(values: Sequence, text: bool) -> bool:
         return False
 
 
-def _json_row(values: tuple) -> str:
-    if all(_json_plain((value,), text) for value, text in zip(values, _TEXT)):
+def _json_row(values: tuple, allow_nan: bool) -> str:
+    if all(_json_plain([value], text) for value, text in zip(values, _TEXT)):
         return _JSON_ROW % values
-    return _JSON_ANY_ROW % tuple(map(json.dumps, values))
+    return _JSON_ANY_ROW % tuple(_json_value(value, allow_nan) for value in values)
 
 
-def _write_json(write: Callable[[str], object], rows: Iterable[tuple]) -> None:
+def _write_json(write: Callable[[str], object], chunks: Iterable[list],
+                allow_nan: bool = False) -> None:
     """Write the bytes of json.dumps([row objects], indent=2) + '\\n' from
-    value tuples in CSV_COLUMNS order."""
+    column chunks (see _rows).  A NaN or infinite value raises DomainError
+    before its chunk is written, unless allow_nan spells it as json.dumps
+    does by default."""
     opening = "[\n"
-    for chunk in _chunks(rows):
-        if all(map(_json_plain, zip(*chunk), _TEXT)):
-            body = ",\n".join([_JSON_ROW % values for values in chunk])
+    template = None
+    for columns in chunks:
+        if template is None:
+            template = _template(columns, lambda value: _json_value(value, allow_nan),
+                                 "%r", '"%s"', _json_object)
+        if all(map(_json_plain, columns, _TEXT)):
+            body = ",\n".join(_fill(template, columns, repr))
         else:
-            body = ",\n".join([_json_row(values) for values in chunk])
+            body = ",\n".join([_json_row(values, allow_nan) for values in _tuples([columns])])
         write(opening + body)
         opening = ",\n"
     write("[]\n" if opening == "[\n" else "\n]\n")
@@ -414,14 +539,15 @@ def _write_json(write: Callable[[str], object], rows: Iterable[tuple]) -> None:
 def rows_to_csv(rows: Sequence[ResultRow], comments: Sequence[str] = ()) -> str:
     """Render rows as deterministic CSV, one optional '#' comment per line."""
     out = io.StringIO()
-    _write_csv(out.write, map(_row_values, rows), comments)
+    _write_csv(out.write, _row_chunks(rows), comments)
     return out.getvalue()
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
-    """Render rows as a JSON array of row objects."""
+    """Render rows as a JSON array of row objects, byte for byte what
+    json.dumps(..., indent=2) prints, NaN and Infinity included."""
     out = io.StringIO()
-    _write_json(out.write, map(_row_values, rows))
+    _write_json(out.write, _row_chunks(rows), allow_nan=True)
     return out.getvalue()
 
 

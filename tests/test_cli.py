@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,6 +404,42 @@ class TestGeometry:
         code, _, _ = run_cli(capsys, "geometry", "mirror", "--f", "1",
                              "--R", "2.1", "--hole", "2.05")
         assert code == 1
+
+
+def reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "kerr", "--omega-n", "0.94", "--eta", "0.98",
+         "--delta=-10", "--s0", "0.3"],
+        ["geometry", "cone", "--alpha", "1.2", "--orientation", "axial"],
+        ["geometry", "mirror", "--f", "1", "--R", "4", "--hole", "0.2",
+         "--profile", "doughnut:1.3"],
+    ])
+    def test_payload_is_strict_json(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        json.loads(out, parse_constant=reject_constant)
+
+    def test_sweep_is_strict_json(self, capsys, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
+            "fixed": {"delta": 0.0, "s0": 0.0},
+            "sweep": {"var": "omega_n", "start": 0.0, "stop": 1.0, "count": 2049}}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config), "--format", "json")
+        assert code == 0 and err == ""
+        rows = json.loads(out, parse_constant=reject_constant)
+        assert len(rows) == 2049 and rows[1024]["phi_rad"] is None
+
+    def test_non_finite_payload_is_domain_error(self, capsys):
+        # no public function returns NaN today; the writer must not print one
+        with mock.patch("atomphase.cli.cone_weighted_solid_angle", return_value=math.nan):
+            code, out, err = run_cli(capsys, "geometry", "cone", "--alpha", "1.2",
+                                     "--orientation", "axial")
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 class TestEntryPoint:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from atomphase import (
     AtomPhaseError,
@@ -169,6 +169,16 @@ class TestParabolaRayMap:
             parabola_ray_map(0.0, self.MIRROR)
         with pytest.raises(DomainError):
             parabola_ray_map(-1.0, self.MIRROR)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, d):
+        with pytest.raises(DomainError):
+            parabola_ray_map(d, self.MIRROR)
+
+    def test_rejects_overflowing_image(self):
+        # 4 f^2 / d exceeds the float range
+        with pytest.raises(DomainError, match="overflows"):
+            parabola_ray_map(5e-324, ParabolicMirror(1.0, 4.0, 0.2))
 
 
 class TestMirrorSolidAngle:
@@ -343,6 +353,20 @@ class TestOverlap:
     def test_bad_region_rejected(self):
         with pytest.raises(DomainError):
             overlap_eta(BeamProfile.flat_top(), self.MIRROR, (3.0, 2.0))
+
+    @pytest.mark.parametrize("geometry_", [ParabolicMirror(1.0, 4.0, 0.2),
+                                           ConeAperture(1.0, AXIAL)])
+    def test_nan_custom_profile_rejected(self, geometry_):
+        # quad warns about the NaN integrand before returning NaN
+        with pytest.warns(IntegrationWarning):
+            with pytest.raises(DomainError, match="non-finite"):
+                overlap_eta(BeamProfile.custom(lambda d: math.nan), geometry_)
+
+    @pytest.mark.parametrize("geometry_", [ParabolicMirror(1.0, 4.0, 0.2),
+                                           ConeAperture(1.0, AXIAL)])
+    def test_infinite_custom_profile_rejected(self, geometry_):
+        with pytest.raises(DomainError, match="non-finite"):
+            overlap_eta(BeamProfile.custom(lambda d: math.inf), geometry_)
 
     def test_overflowing_custom_profile_rejected(self):
         huge = BeamProfile.custom(lambda x: 1e200)

@@ -1,7 +1,9 @@
 """Tests for sweeps, presets and the deterministic CSV/JSON emission."""
 
+import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -327,6 +329,21 @@ class TestEvaluatePoint:
 
 # ------------------------------------------------- columnar kernel vs oracle
 
+def streamed(spec):
+    """The CLI's bytes for a sweep: the kernel's chunks through each writer."""
+    csv_out, json_out = io.StringIO(), io.StringIO()
+    sweep._write_csv(csv_out.write, sweep._sweep_rows(spec))
+    sweep._write_json(json_out.write, sweep._sweep_rows(spec))
+    return csv_out.getvalue(), json_out.getvalue()
+
+
+def assert_streams_match_oracle(spec):
+    expected = oracles.run_sweep(spec)
+    csv_text, json_text = streamed(spec)
+    assert csv_text == oracles.rows_to_csv(expected)
+    assert json_text == oracles.rows_to_json(expected)
+
+
 def same_bits(a, b):
     """Field-by-field equality that tells -0.0 from 0.0 (float.hex)."""
     if isinstance(a, float) and isinstance(b, float):
@@ -436,6 +453,15 @@ class TestColumnarKernel:
         assert rows_to_csv(rows) == oracles.rows_to_csv(expected)
         assert rows_to_json(rows) == oracles.rows_to_json(expected)
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_grid_of_chunk_size_plus_minus_one(self, extra):
+        # odd counts put the boundary row at omega_n = 0.5 exactly
+        count = sweep._CHUNK_ROWS + extra
+        spec = SweepSpec(model="symmetric", coupling=FULL, var="omega_n",
+                         range=SweepRange(0.0, 1.0, count), fixed={"delta": 0.0, "s0": 0.0})
+        assert_streams_match_oracle(spec)
+        assert_rows_identical(run_sweep(spec), oracles.run_sweep(spec))
+
 
 class TestKernelDomain:
     @pytest.mark.parametrize("model", sweep.MODELS)
@@ -525,3 +551,72 @@ class TestStreamedWriters:
         with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
             text = rows_to_csv(rows, comments)
         assert text == oracles.rows_to_csv(rows, comments)
+
+    # The kernel's chunks carry a fixed delta or drive as one value and let
+    # delta or s0 share swept_value's list; the writers spell those once.
+    # Every layout must give the per-row writers' bytes.
+    @pytest.mark.parametrize("model", sweep.MODELS)
+    @pytest.mark.parametrize("var, drive", [
+        ("delta", "s0"), ("delta", "s"), ("omega_n", "s0"), ("omega_n", "s"),
+        ("eta", "s0"), ("eta", "s"), ("s0", None), ("s", None)])
+    def test_baked_templates_match_per_row_writers(self, model, var, drive):
+        coupling = (AsymmetricCoupling(0.94, 0.98, 0.88, 0.99, 0.97) if model == "asymmetric"
+                    else MIRROR)
+        start, stop = {"delta": (-3.0, 3.0), "s0": (0.0, 20.0), "s": (0.0, 2.0),
+                       "omega_n": (0.0, 1.0), "eta": (0.0, 1.0)}[var]
+        fixed = {} if var == "delta" else {"delta": -0.75}
+        if drive is not None:
+            fixed[drive] = 0.4
+        spec = SweepSpec(model=model, coupling=coupling, var=var,
+                         range=SweepRange(start, stop, 37), fixed=fixed)
+        assert_streams_match_oracle(spec)
+
+    @pytest.mark.parametrize("model", sweep.MODELS)
+    @pytest.mark.parametrize("var, fixed", [
+        ("omega_n", {"delta": 0.0, "s0": 0.0}),    # one boundary or pole row
+        ("s0", {"delta": 0.0}),                     # kerr: every row on the pole
+        ("delta", {"s0": 0.0}),
+    ])
+    def test_boundary_and_pole_rows_match_per_row_writers(self, model, var, fixed):
+        coupling = (AsymmetricCoupling(0.5, 1.0, 0.5, 1.0, 1.0) if model == "asymmetric"
+                    else SymmetricCoupling(0.5 if var != "omega_n" else 1.0, 1.0))
+        start, stop = (-1.0, 1.0) if var == "delta" else (0.0, 1.0)
+        spec = SweepSpec(model=model, coupling=coupling, var=var,
+                         range=SweepRange(start, stop, 2 * sweep._CHUNK_ROWS + 1), fixed=fixed)
+        rows = oracles.run_sweep(spec)
+        assert any(row.branch == "boundary" for row in rows)
+        assert_streams_match_oracle(spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_specs(), st.sampled_from([1, 2, 5, 4096]))
+    def test_streamed_sweeps_match_per_row_writers(self, spec, chunk):
+        with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
+            assert_streams_match_oracle(spec)
+
+    def test_non_finite_json_raises_before_its_chunk(self):
+        good = oracles.evaluate_point("symmetric", MIRROR, -1.0, 0.3)
+        bad = ResultRow(**{**row_to_dict(good), "p_sc_over_p": math.nan})
+        out = io.StringIO()
+        with mock.patch.object(sweep, "_CHUNK_ROWS", 2):
+            with pytest.raises(DomainError, match="nan"):
+                sweep._write_json(out.write, sweep._row_chunks([good, good, good, bad]))
+        assert out.getvalue() == oracles.rows_to_json([good, good])[:-len("\n]\n")]
+        # rows_to_json keeps json.dumps' own spelling of NaN
+        assert rows_to_json([bad]) == oracles.rows_to_json([bad])
+
+    @pytest.mark.parametrize("write", [sweep._write_csv, sweep._write_json])
+    def test_memory_does_not_grow_with_the_grid(self, write):
+        # only the float64 grid spans the sweep: 8 bytes a point, 1.44 MB
+        # over the 180 000 extra points
+        def peak(count):
+            spec = SweepSpec(model="symmetric", coupling=FULL, var="omega_n",
+                             range=SweepRange(0.0, 1.0, count),
+                             fixed={"delta": -0.5, "s0": 0.3})
+            tracemalloc.start()
+            try:
+                write(lambda text: None, sweep._sweep_rows(spec))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_001) - peak(20_001) < 2_000_000
