@@ -200,8 +200,8 @@ def pupil_dipole_profile(d: float, mirror: ParabolicMirror) -> float:
     map, so the pupil image carries the far-field energy distribution.
     Vanishes toward both the vertex and the rim.
     """
-    if d <= 0:
-        raise DomainError(f"pupil radius must be positive, got {d!r}")
+    if not (d > 0 and math.isfinite(d)):
+        raise DomainError(f"pupil radius must be positive and finite, got {d!r}")
     return _pupil_dipole(0.5 * d / mirror.focal_length)
 
 

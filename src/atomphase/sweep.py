@@ -25,8 +25,9 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import islice, repeat
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
                     get_type_hints)
 
@@ -47,6 +48,7 @@ __all__ = [
     "SWEEP_VARIABLES",
     "CSV_COLUMNS",
     "FIGURE_PRESETS",
+    "MAX_COUNT",
     "SweepRange",
     "SweepSpec",
     "ResultRow",
@@ -65,10 +67,17 @@ SWEEP_VARIABLES = ("delta", "s0", "s", "omega_n", "eta")
 
 Coupling = Union[SymmetricCoupling, AsymmetricCoupling]
 
+# The most points a sweep may have: its float64 grid is 800 MB.
+MAX_COUNT = 10**8
+
 
 @dataclass(frozen=True)
 class SweepRange:
-    """Inclusive grid: count points from start to stop, linear or log."""
+    """Inclusive grid: count points from start to stop, linear or log.
+
+    count is an integer from 2 to MAX_COUNT, checked before any grid is
+    built.
+    """
 
     start: float
     stop: float
@@ -79,8 +88,13 @@ class SweepRange:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(
                 f"start and stop must be finite, got {self.start!r} and {self.stop!r}")
-        if self.count < 2:
-            raise DomainError(f"count must be at least 2, got {self.count!r}")
+        try:
+            count = index(self.count)
+        except TypeError:
+            raise DomainError(f"count must be an integer, got {self.count!r}") from None
+        # a bool passes index() as 1 or 0, so it is refused here too
+        if not 2 <= count <= MAX_COUNT:
+            raise DomainError(f"count must be from 2 to {MAX_COUNT}, got {self.count!r}")
         if self.start == self.stop:
             raise DomainError("start and stop must differ")
         if self.spacing not in ("linear", "log"):
@@ -230,8 +244,6 @@ def _rows(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple[s
     when every row shares it: delta, s0, s and coherent_fraction when
     their inputs are single numbers, and model.  Where delta or s0 is the
     swept array itself, that column is the very list of swept_value.
-    Which columns are single values, and which share swept_value's list,
-    is the same in every chunk.
     """
     n = len(swept)
     _validate(delta, drive, n)
@@ -404,12 +416,6 @@ def _json_object(pieces: Sequence[str]) -> str:
         f"    {json.dumps(name)}: {piece}" for name, piece in zip(CSV_COLUMNS, pieces)) + "\n  }"
 
 
-_CSV_ROW = _csv_line(["%s" if text else "%.17g" for text in _TEXT])
-# %r spells a finite float, and "%s" a string that needs no escape, as JSON does.
-_JSON_ROW = _json_object(['"%s"' if text else "%r" for text in _TEXT])
-_JSON_ANY_ROW = _json_object(["%s"] * len(CSV_COLUMNS))
-
-
 def _format_value(value) -> str:
     if value is None:
         return ""
@@ -438,81 +444,63 @@ def _tuples(chunks: Iterable[list]) -> Iterator[tuple]:
         yield from zip(*[c if isinstance(c, list) else repeat(c) for c in columns])
 
 
-def _template(columns: list, constant: Callable[[object], str], number: str, text: str,
-              row: Callable[[Sequence[str]], str]) -> str:
-    """The row template of a sweep, from its first chunk.
+def _render(columns: list, placeholder: Callable[[list, bool], Optional[str]],
+            spell: Callable[[object], str], row: Callable[[Sequence[str]], str]) -> List[str]:
+    """A chunk's rows, by a %-template built from this chunk alone.
 
-    A single-value column is spelled once, by ``constant``, into the
-    template.  swept_value and a column that shares its list take "%s":
-    _fill spells that list once per chunk.  Every other column takes the
-    ``number`` or ``text`` placeholder.
+    A single-value column is spelled once, by ``spell``, into the template.
+    A list column takes ``placeholder(values, is_text)``, which spells every
+    one of its values; where that is None, ``spell`` spells the values one
+    by one and the column takes "%s".  A list that two columns share
+    (swept_value and the delta or s0 it sweeps) is spelled once, for both.
     """
-    shared = _shares_swept(columns)
-    pieces = []
+    pieces, varying, spelled = [], [], {}
     for column, is_text in zip(columns, _TEXT):
         if not isinstance(column, list):
-            pieces.append(constant(column).replace("%", "%%"))
-        elif shared and column is columns[0]:
-            pieces.append("%s")
-        else:
-            pieces.append(text if is_text else number)
-    return row(pieces)
-
-
-def _shares_swept(columns: list) -> bool:
-    return any(column is columns[0] for column in columns[1:])
-
-
-def _fill(template: str, columns: list, spell: Callable[[object], str]) -> List[str]:
-    """The chunk's rows rendered with the sweep's template."""
-    varying = [column for column in columns if isinstance(column, list)]
-    if _shares_swept(columns):
-        spelled = list(map(spell, columns[0]))
-        varying = [spelled if column is columns[0] else column for column in varying]
+            pieces.append(spell(column).replace("%", "%%"))
+            continue
+        fit = placeholder(column, is_text)
+        if fit is None or sum(other is column for other in columns) > 1:
+            if id(column) not in spelled:
+                spelled[id(column)] = ([fit % value for value in column] if fit
+                                       else list(map(spell, column)))
+            fit, column = "%s", spelled[id(column)]
+        pieces.append(fit)
+        varying.append(column)
+    template = row(pieces)
     return [template % values for values in zip(*varying)]
 
 
-def _csv_row(values: tuple) -> str:
+def _csv_placeholder(values: list, is_text: bool) -> Optional[str]:
+    """The CSV column's placeholder: %.17g spells a number, but not None,
+    as _format_value does."""
+    if is_text:
+        return "%s"
     try:
-        return _CSV_ROW % values
+        sum(values)
     except TypeError:   # an empty (None) phase field
-        return ",".join(map(_format_value, values)) + "\n"
+        return None
+    return "%.17g"
+
+
+def _json_placeholder(values: list, is_text: bool) -> Optional[str]:
+    """The JSON column's placeholder: %r spells a finite float, and "%s" in
+    quotes a string that needs no escape, as json.dumps does.  A sum that
+    overflows reads as not finite; those values are spelled one by one."""
+    if is_text:
+        return '"%s"' if all(json.dumps(value) == f'"{value}"' for value in set(values)) else None
+    try:
+        return "%r" if math.isfinite(sum(values)) else None
+    except TypeError:   # None
+        return None
 
 
 def _write_csv(write: Callable[[str], object], chunks: Iterable[list],
                comments: Sequence[str] = ()) -> None:
     """Write CSV from column chunks (see _rows), one '#' line per comment."""
     write("".join(f"# {comment}\n" for comment in comments) + ",".join(CSV_COLUMNS) + "\n")
-    template = None
     for columns in chunks:
-        if template is None:
-            template = _template(columns, _format_value, "%.17g", "%s", _csv_line)
-        try:
-            text = "".join(_fill(template, columns, "%.17g".__mod__))
-        except TypeError:   # an empty (None) phase field
-            text = "".join([_csv_row(values) for values in _tuples([columns])])
-        write(text)
-
-
-def _json_plain(values, text: bool) -> bool:
-    """True when the template spells every value of a column as json.dumps
-    does: finite numbers, or strings that JSON quotes without escapes.  A
-    single-value column is spelled by json.dumps itself.  A sum that
-    overflows reads as not finite; those values take the slow path."""
-    if not isinstance(values, list):
-        return True
-    if text:
-        return all(json.dumps(value) == f'"{value}"' for value in set(values))
-    try:
-        return math.isfinite(sum(values))
-    except TypeError:   # None
-        return False
-
-
-def _json_row(values: tuple, allow_nan: bool) -> str:
-    if all(_json_plain([value], text) for value, text in zip(values, _TEXT)):
-        return _JSON_ROW % values
-    return _JSON_ANY_ROW % tuple(_json_value(value, allow_nan) for value in values)
+        write("".join(_render(columns, _csv_placeholder, _format_value, _csv_line)))
 
 
 def _write_json(write: Callable[[str], object], chunks: Iterable[list],
@@ -521,17 +509,10 @@ def _write_json(write: Callable[[str], object], chunks: Iterable[list],
     column chunks (see _rows).  A NaN or infinite value raises DomainError
     before its chunk is written, unless allow_nan spells it as json.dumps
     does by default."""
+    spell = partial(_json_value, allow_nan=allow_nan)
     opening = "[\n"
-    template = None
     for columns in chunks:
-        if template is None:
-            template = _template(columns, lambda value: _json_value(value, allow_nan),
-                                 "%r", '"%s"', _json_object)
-        if all(map(_json_plain, columns, _TEXT)):
-            body = ",\n".join(_fill(template, columns, repr))
-        else:
-            body = ",\n".join([_json_row(values, allow_nan) for values in _tuples([columns])])
-        write(opening + body)
+        write(opening + ",\n".join(_render(columns, _json_placeholder, spell, _json_object)))
         opening = ",\n"
     write("[]\n" if opening == "[\n" else "\n]\n")
 

@@ -270,6 +270,18 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_too_many_points_is_config_error(self, capsys, tmp_path):
+        path = self.config(tmp_path, {
+            "model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
+            "sweep": {"var": "delta", "start": -5, "stop": 0, "count": 10**12},
+            "fixed": {"s0": 0.0}})
+        # refused while the config is read: no grid is ever built
+        with mock.patch("atomphase.cli._sweep_rows", side_effect=AssertionError):
+            code, out, err = run_cli(capsys, "sweep", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(10**8) in err
+
     def test_unknown_key_is_config_error(self, capsys, tmp_path):
         path = self.config(tmp_path, {
             "model": "symmetric",

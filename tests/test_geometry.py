@@ -230,6 +230,11 @@ class TestPupilDipoleProfile:
         with pytest.raises(DomainError):
             pupil_dipole_profile(0.0, self.MIRROR)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, d):
+        with pytest.raises(DomainError):
+            pupil_dipole_profile(d, self.MIRROR)
+
     @pytest.mark.parametrize("f", [0.35, 1.0, 4.2])
     @pytest.mark.parametrize("annulus", [(0.3, 1.7), (0.5, 5.0), (2.0, 80.0)])
     def test_ring_energy_matches_far_field(self, f, annulus):

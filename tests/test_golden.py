@@ -3,7 +3,9 @@
 A refactor that keeps behaviour leaves these bytes untouched; a float
 tolerance cannot tell whether the last printed digit moved.  The matrix
 covers 3 models x 5 sweep variables x csv/json, 101 points per sweep,
-with log-spaced grids (s0 and eta) for every model.
+with log-spaced grids (s0 and eta) for every model.  Two more sweeps span
+several chunks of rows (sweep._CHUNK_ROWS), each with boundary or pole
+rows, so a writer that renders one chunk from another's layout shows.
 
 After a deliberate output change, rewrite the fixture with
 
@@ -42,19 +44,27 @@ SWEEPS = (
     ("eta", 1e-2, 1.0, "log", {"delta": -0.5, "s": 0.3}),
 )
 
-CASES = [(model, sweep, fmt) for model in COUPLINGS for sweep in SWEEPS
-         for fmt in ("csv", "json")]
+FULL = {"omega_n": 1.0, "eta": 1.0}
+# (model, coupling, sweep, count): 2049 points are three chunks of rows
+CHUNKED = (
+    # the boundary row, omega_n = 0.5, is the first row of the second chunk
+    ("symmetric", FULL, ("omega_n", 0.0, 1.0, "linear", {"delta": 0.0, "s0": 0.0}), 2049),
+    # Kerr poles at delta = -0.5 and 0.5, in the first and second chunks
+    ("kerr", FULL, ("delta", -1.0, 1.0, "linear", {"s0": 0.1}), 2049),
+)
+
+# (name, model, coupling, sweep, count, format)
+CASES = [(f"sweep-{model}-{sweep[0]}.{fmt}", model, COUPLINGS[model], sweep, 101, fmt)
+         for model in COUPLINGS for sweep in SWEEPS for fmt in ("csv", "json")]
+CASES += [(f"sweep-chunked-{model}-{sweep[0]}.{fmt}", model, coupling, sweep, count, fmt)
+          for model, coupling, sweep, count in CHUNKED for fmt in ("csv", "json")]
 
 
-def case_name(model, sweep, fmt):
-    return f"sweep-{model}-{sweep[0]}.{fmt}"
-
-
-def sweep_bytes(model, sweep, fmt, workdir):
+def sweep_bytes(model, coupling, sweep, count, fmt, workdir):
     var, start, stop, spacing, fixed = sweep
-    config = {"model": model, "coupling": COUPLINGS[model],
+    config = {"model": model, "coupling": coupling,
               "sweep": {"var": var, "start": start, "stop": stop,
-                        "count": 101, "spacing": spacing},
+                        "count": count, "spacing": spacing},
               "fixed": fixed}
     path = os.path.join(workdir, "config.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -82,8 +92,8 @@ def record():
         for name in FIGURE_PRESETS:
             digests.update({entry: digest(data)
                             for entry, data in figure_files(name, workdir).items()})
-        for case in CASES:
-            digests[case_name(*case)] = digest(sweep_bytes(*case, workdir))
+        for name, *case in CASES:
+            digests[name] = digest(sweep_bytes(*case, workdir))
     return digests
 
 
@@ -100,9 +110,10 @@ def test_figure_bytes(name, golden, tmp_path):
         assert digest(data) == golden[entry], entry
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: case_name(*case))
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case[0])
 def test_sweep_bytes(case, golden, tmp_path):
-    assert digest(sweep_bytes(*case, str(tmp_path))) == golden[case_name(*case)]
+    name, *rest = case
+    assert digest(sweep_bytes(*rest, str(tmp_path))) == golden[name]
 
 
 if __name__ == "__main__":

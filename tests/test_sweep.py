@@ -73,10 +73,21 @@ class TestSweepRange:
         dict(start=-1.0, stop=1.0, count=5, spacing="log"),
         dict(start=0.0, stop=1.0, count=5, spacing="cubic"),
         dict(start=-1.7e308, stop=1.7e308, count=5),   # stop - start overflows
+        dict(start=0.0, stop=1.0, count=2.5),
+        dict(start=0.0, stop=1.0, count=5.0),
+        dict(start=0.0, stop=1.0, count="5"),
+        dict(start=0.0, stop=1.0, count=True),
+        dict(start=0.0, stop=1.0, count=sweep.MAX_COUNT + 1),
+        dict(start=0.0, stop=1.0, count=10**12),
     ])
     def test_invalid_ranges(self, kwargs):
         with pytest.raises(DomainError):
             SweepRange(**kwargs)
+
+    @pytest.mark.parametrize("count", [np.int64(5), sweep.MAX_COUNT])
+    def test_integer_counts_up_to_the_bound(self, count):
+        # checked only: a grid of MAX_COUNT points would take 800 MB
+        assert SweepRange(start=0.0, stop=1.0, count=count).count == count
 
     @pytest.mark.parametrize("count", [2, 4, 7, 1001])
     def test_widest_linear_grid_is_finite(self, count):
@@ -592,6 +603,25 @@ class TestStreamedWriters:
     def test_streamed_sweeps_match_per_row_writers(self, spec, chunk):
         with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
             assert_streams_match_oracle(spec)
+
+    @pytest.mark.parametrize("writer, oracle", [
+        (sweep._write_csv, oracles.rows_to_csv), (sweep._write_json, oracles.rows_to_json)])
+    def test_each_chunk_is_rendered_from_its_own_layout(self, writer, oracle):
+        # a fixed delta and swept s0 first, then a swept delta and a fixed
+        # s0: no chunk may take another's layout
+        def chunk(rows, single, shared):
+            columns = [list(column) for column in zip(*map(sweep._row_values, rows))]
+            columns[CSV_COLUMNS.index(single)] = columns[CSV_COLUMNS.index(single)][0]
+            columns[CSV_COLUMNS.index(shared)] = columns[0]
+            return columns
+
+        first = [oracles.evaluate_point("kerr", FULL, -0.75, s0, swept_value=s0)
+                 for s0 in (0.1, 0.2, 0.3)]
+        second = [oracles.evaluate_point("kerr", FULL, delta, 0.4, swept_value=delta)
+                  for delta in (-1.0, 0.25)]
+        out = io.StringIO()
+        writer(out.write, [chunk(first, "delta", "s0"), chunk(second, "s0", "delta")])
+        assert out.getvalue() == oracle(first + second)
 
     def test_non_finite_json_raises_before_its_chunk(self):
         good = oracles.evaluate_point("symmetric", MIRROR, -1.0, 0.3)
