@@ -27,7 +27,10 @@ ratio, so all pupil results depend only on R/f, h/f and w/f.
 Every overlap and re-collimation integral of a preset profile is evaluated
 in closed form: the dipole norm on pupils and cones, the flat-top and
 dipole-matched powers and cross terms, the doughnut power, and the
-doughnut cross terms through the exponential integral E1.  The
+doughnut cross terms through the exponential integral E1.  The one
+exception is a pupil interval narrower than 1e-3 of its outer radius,
+where two antiderivatives would cancel: there a fixed 8-point
+Gauss-Legendre rule integrates the densities.  The
 re-collimated overlap eta_prime needs no integrals of its own: it is the
 incident overlap on the kept interval (see ``recollimation_parameters``).
 Adaptive quadrature remains only for custom profiles.
@@ -261,12 +264,15 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return value
 
 
+# Cuts at the decades of the mirror scale u = 1 keep the adaptive rule from
+# missing the peak when the annulus spans many decades.
+_DECADES = tuple(10.0**k for k in range(-6, 9))
+
+
 def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    # Cuts at the decades of the mirror scale u = 1 keep the adaptive rule
-    # from missing the peak when the annulus spans many decades.
     if hi <= lo:
         return 0.0
-    cuts = [lo] + [10.0**k for k in range(-6, 9) if lo < 10.0**k < hi] + [hi]
+    cuts = [lo] + [c for c in _DECADES if lo < c < hi] + [hi]
     return sum(_quad(fn, a, b) for a, b in zip(cuts, cuts[1:]))
 
 
@@ -293,6 +299,32 @@ def _span(head: Callable[[float], float], tail: Callable[[float], float],
     if a >= pivot:
         return tail(a) - tail(b)
     return head(b) - head(a)
+
+
+# On a pupil interval [lo, hi] with hi - lo <= _NARROW * hi, the two
+# antiderivatives a span subtracts nearly cancel: the difference loses up to
+# ~1/_NARROW of its precision, and at widths of a few ulp it is rounding
+# noise (a mirror with h -> 2f or R -> 2f keeps such a ring, and its overlap
+# came out negative).  There the preset densities are integrated directly,
+# in u, by the 8-point Gauss-Legendre rule, not by quad, which only custom
+# profiles need.  Across such an interval each density changes by less than
+# a factor e^1.5 (a doughnut whose power does not underflow has
+# (b u)^2 < 372), where the rule is exact to ~1e-19.  Its weights are
+# positive, so Cauchy-Schwarz still bounds the overlap by 1, and the width
+# factor cancels from it.
+_NARROW = 1e-3
+_GAUSS_LEGENDRE_8 = (   # (node, weight); the rule uses each node at +-x
+    (0.1834346424956498, 0.362683783378362),
+    (0.525532409916329, 0.31370664587788727),
+    (0.7966664774136267, 0.22238103445337448),
+    (0.9602898564975363, 0.10122853629037626),
+)
+
+
+def _gauss_legendre(density: Callable[[float], float], lo: float, hi: float) -> float:
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return half * sum(w * (density(mid - half * x) + density(mid + half * x))
+                      for x, w in _GAUSS_LEGENDRE_8)
 
 
 # Pupil antiderivatives in u = d / 2f.  Under the involution u -> 1/u the
@@ -340,6 +372,8 @@ def _ring_tail(x: float) -> float:
 
 def _dipole_norm(lo: float, hi: float) -> float:
     """int A(u)^2 u du over [lo, hi]: the pupil dipole norm."""
+    if hi - lo <= _NARROW * hi:
+        return _gauss_legendre(lambda u: _pupil_dipole(u) ** 2 * u, lo, hi)
     return _span(_dipole_norm_head, lambda u: _dipole_norm_head(1.0 / u), lo, hi, 1.0)
 
 
@@ -358,17 +392,101 @@ _E1_SERIES = tuple((-1) ** k / ((k + 1) * math.factorial(k + 1)) for k in range(
 _DOUGHNUT_HEAD_CUT = 0.2
 _DOUGHNUT_HEAD_TERMS = 26   # (0.2)^26 e < 1e-17
 
+# BEGIN E1 FIT: generated by tools/fit_e1.py, do not edit
+# Q on [_E1_FIT_LO, _E1_FIT_HI): row e + 1 holds the coefficients in
+# t = 4m - 3 of the binade [2^(e-1), 2^e), where (m, e) = frexp(x).
+_E1_FIT_LO = 0.25
+_E1_FIT_HI = 16.0
+_E1_FIT = (
+    # [0.25, 0.5): degree 19, float evaluation within 1.2e-16 relative
+    (
+        0.4539387130534772, -0.04265197056887957, 0.006136440142990274,
+        -0.0011578508159309873, 0.00025544674375043845, -6.187811854386364e-05,
+        1.59188573717843e-05, -4.268910890930653e-06, 1.1799205595739648e-06,
+        -3.3370190295669163e-07, 9.609570880662204e-08, -2.807595994364345e-08,
+        8.291407184818942e-09, -2.4749480316281e-09, 7.58755753089342e-10,
+        -2.311057927756922e-10, 5.914369813617323e-11, -1.7684560450254912e-11,
+        1.0821709991774003e-11, -3.4513820327305086e-12,
+    ),
+    # [0.5, 1.0): degree 19, float evaluation within 1.3e-16 relative
+    (
+        0.362077850139529, -0.0451287605593195, 0.0073707301269393625,
+        -0.0014587004234325833, 0.0003274123078423197, -7.980162176211664e-05,
+        2.0569462597917064e-05, -5.516842545948442e-06, 1.5238374735294157e-06,
+        -4.3051904402046606e-07, 1.2382517220217017e-07, -3.6130953353206316e-08,
+        1.0656397026878904e-08, -3.176779344639475e-09, 9.725494556939717e-10,
+        -2.9585158075445647e-10, 7.570009041400573e-11, -2.2611999089237537e-11,
+        1.3792893974500384e-11, -4.3941941027928055e-12,
+    ),
+    # [1.0, 2.0): degree 20, float evaluation within 2.0e-16 relative
+    (
+        0.26913525552139, -0.0434867971465663, 0.00820971590299584,
+        -0.001748774913276112, 0.00040715108011223186, -0.00010110780609442845,
+        2.632143793048308e-05, -7.098222276915343e-06, 1.966612350177789e-06,
+        -5.56531586174377e-07, 1.6019236197273864e-07, -4.6758285776196544e-08,
+        1.3806334462056241e-08, -4.109920478234058e-09, 1.2349835413725251e-09,
+        -3.823572962270057e-10, 1.1706173950534173e-10, -2.920994228962947e-11,
+        8.73532741868262e-12, -5.66074946437326e-12, 1.8091983082571334e-12,
+    ),
+    # [2.0, 4.0): degree 20, float evaluation within 1.8e-16 relative
+    (
+        0.1844256380582279, -0.0372948752273483, 0.00816706657817432,
+        -0.0019107795711717798, 0.0004716233647551935, -0.0001214893755925963,
+        3.237911515100047e-05, -8.868003479716902e-06, 2.4828337294531237e-06,
+        -7.077526682093761e-07, 2.0477549937724967e-07, -5.99949158554322e-08,
+        1.7763001408455363e-08, -5.298302171611279e-09, 1.5944228146989594e-09,
+        -4.941945297415975e-10, 1.5141698022679296e-10, -3.779744754041426e-11,
+        1.1308551544934924e-11, -7.330316882175309e-12, 2.3428523473684432e-12,
+    ),
+    # [4.0, 8.0): degree 20, float evaluation within 1.4e-16 relative
+    (
+        0.11615392036199185, -0.028086790106508375, 0.007037515256822571,
+        -0.0018191362693283466, 0.00048310593445970515, -0.00013131947433248385,
+        3.6416787635463495e-05, -1.0273855112095205e-05, 2.9415866505350372e-06,
+        -8.530324133600583e-07, 2.5011902463730454e-07, -7.40517999387885e-08,
+        2.210868720928902e-08, -6.638732466161776e-09, 2.0087537636810086e-09,
+        -6.25654996148349e-10, 1.9241273006189037e-10, -4.807520486744208e-11,
+        1.4420935209043589e-11, -9.402187897216538e-12, 3.01008604398276e-12,
+    ),
+    # [8.0, 16.0): degree 21, float evaluation within 1.8e-16 relative
+    (
+        0.06776144872699931, -0.018643777251863794, 0.005200558224404538,
+        -0.0014689772737518122, 0.0004197065867536425, -0.00012116956374889718,
+        3.5313908837532235e-05, -1.038067880815223e-05, 3.0753273067054427e-06,
+        -9.175574703559168e-07, 2.755315441011544e-07, -8.3225687577704e-08,
+        2.5276557802882006e-08, -7.713839312272714e-09, 2.359000198613774e-09,
+        -7.25574587491975e-10, 2.3078590144302231e-10, -7.194407081643193e-11,
+        1.7442542548952643e-11, -5.264414399831331e-12, 3.723482131301509e-12,
+        -1.2012918765380498e-12,
+    ),
+)
+# END E1 FIT
+
 
 def _scaled_e1(x: float) -> Tuple[float, float]:
-    """(S, Q) with S = e^x E1(x) and Q = x + 1 - 1/S, for x > 0."""
-    if x < 1.0:
+    """(S, Q) with S = e^x E1(x) and Q = x + 1 - 1/S, for x > 0.
+
+    Below _E1_FIT_LO = 0.25, S is the power series of E1 and Q is formed
+    from it.  Above it, Q comes first and S = 1 / (x + 1 - Q): forming Q
+    from S would cancel x + 1 against 1/S, which costs the series up to
+    3.5e-15 relative just below x = 1.  On [0.25, 16) Q is one polynomial
+    per binade, fitted offline by ``tools/fit_e1.py`` (regenerate the
+    coefficients with ``python tools/fit_e1.py``, which needs mpmath); it
+    is within 2.2e-16 relative of Q.  From 16 up, Q is the continued
+    fraction, which needs few steps there.
+    """
+    if x < _E1_FIT_LO:
         s = math.exp(x) * (-_EULER_GAMMA - math.log(x) + x * _horner(_E1_SERIES, x))
         return s, x + 1.0 - 1.0 / s
-    # Evaluated backward from depth n, the fraction's error falls like
-    # exp(-4 sqrt(n x)): below 1e-17 at n = 96 / x.
-    q = 0.0
-    for k in range(8 + int(96.0 / x), 0, -1):
-        q = k * k / (x + (2 * k + 1) - q)
+    if x < _E1_FIT_HI:
+        m, e = math.frexp(x)
+        q = _horner(_E1_FIT[e + 1], 4.0 * m - 3.0)
+    else:
+        # Evaluated backward from depth n, the fraction's error falls like
+        # exp(-4 sqrt(n x)): below 1e-17 at n = 96 / x.
+        q = 0.0
+        for k in range(8 + int(96.0 / x), 0, -1):
+            q = k * k / (x + (2 * k + 1) - q)
     return 1.0 / (x + 1.0 - q), q
 
 
@@ -405,6 +523,12 @@ def _doughnut_b(profile: BeamProfile, f: float) -> float:
     return b
 
 
+def _doughnut_amplitude(x: float) -> float:
+    # the doughnut beam x exp(-x^2) at x = b u; 0, not NaN, once x * x overflows
+    decay = math.exp(-x * x)
+    return x * decay if decay else 0.0
+
+
 def _doughnut_cross(b: float, t1: float, t2: float) -> float:
     """b int_{t1}^{t2} s e^{-as} / (1+s)^2 ds with a = b^2."""
     a = b * b
@@ -427,6 +551,8 @@ def _pupil_power(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     if profile.kind == "doughnut":
         # the beam is (b u) exp(-(b u)^2); b * b may be subnormal, so divide twice
         b = _doughnut_b(profile, f)
+        if hi - lo <= _NARROW * hi:
+            return _gauss_legendre(lambda u: _doughnut_amplitude(b * u) ** 2 * u, lo, hi)
         return _span(_ring_head, _ring_tail, b * lo, b * hi, 1.0) / b / b
     # a custom amplitude takes d = f (2u), which unlike (2f) u cannot overflow
     beam = profile.func
@@ -436,12 +562,18 @@ def _pupil_power(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
 def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     """int beam A u du over [lo, hi] for focal length f."""
     if profile.kind == "flattop":
+        if hi - lo <= _NARROW * hi:
+            return _gauss_legendre(lambda u: _pupil_dipole(u) * u, lo, hi)
         return _span(_flat_cross_head, lambda u: _flat_cross_partner_head(1.0 / u),
                      lo, hi, 1.0)
     if profile.kind == "matched":
         return _dipole_norm(lo, hi)
     if profile.kind == "doughnut":
-        return _doughnut_cross(_doughnut_b(profile, f), lo * lo, hi * hi)
+        b = _doughnut_b(profile, f)
+        if hi - lo <= _NARROW * hi:
+            return _gauss_legendre(
+                lambda u: _doughnut_amplitude(b * u) * _pupil_dipole(u) * u, lo, hi)
+        return _doughnut_cross(b, lo * lo, hi * hi)
     beam = profile.func
     return _pupil_quad(lambda u: beam(f * (2.0 * u)) * _pupil_dipole(u) * u, lo, hi)
 

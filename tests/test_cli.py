@@ -252,6 +252,12 @@ class TestSweep:
         ({"omega_n": 1.0, "eta": 1.0},
          {"var": "delta", "start": -5, "stop": 0, "count": "3"}, {"s0": 0.0}),
         ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": -5, "stop": 0, "count": True}, {"s0": 0.0}),
+        ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": -5, "stop": 0, "count": None}, {"s0": 0.0}),
+        ({"omega_n": 1.0, "eta": 1.0},
+         {"var": "delta", "start": -5, "stop": 0, "count": 2.0}, {"s0": 0.0}),
+        ({"omega_n": 1.0, "eta": 1.0},
          {"var": "delta", "start": -5, "stop": 0, "count": 3}, {"s0": True}),
         ({"omega_n": True, "eta": 1.0},
          {"var": "delta", "start": -5, "stop": 0, "count": 3}, {"s0": 0.0}),
@@ -260,7 +266,8 @@ class TestSweep:
         # an integer too large for a float
         ({"omega_n": 1.0, "eta": 1.0},
          {"var": "delta", "start": -10**400, "stop": 0, "count": 3}, {"s0": 0.0}),
-    ], ids=["fractional-count", "string-count", "bool-fixed", "bool-coupling",
+    ], ids=["fractional-count", "string-count", "bool-count", "null-count",
+            "integral-float-count", "bool-fixed", "bool-coupling",
             "string-start", "huge-integer-start"])
     def test_values_are_not_coerced(self, capsys, tmp_path, coupling, sweep, fixed):
         path = self.config(tmp_path, {"model": "symmetric", "coupling": coupling,

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from atomphase import (
@@ -770,6 +772,80 @@ class TestPupilScale:
         unit = parabola_ray_map(3.0, ParabolicMirror(1.0, 4.0))
         assert mapping.d_prime == pytest.approx(4.0 * scale / 3.0, rel=1e-15, abs=0.0)
         assert mapping.theta == pytest.approx(unit.theta, rel=1e-15, abs=0.0)
+
+
+class TestNarrowInterval:
+    # A hole just under 2f, or a rim just past it, keeps a ring a few ulp
+    # wide; differencing antiderivatives there gave eta_prime = -2.8
+    PROFILES = [FLAT, MATCHED, BeamProfile.doughnut(1.3), BeamProfile.doughnut(0.2)]
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=["flattop", "matched", "doughnut-1.3",
+                                                       "doughnut-0.2"])
+    @pytest.mark.parametrize("mirror", [
+        ParabolicMirror(1.0, 4.0, math.nextafter(2.0, 0.0)),
+        ParabolicMirror(1e-80, 2.0000000000001e-80, 1e-81),
+        ParabolicMirror(1.0, 2.0 + 1e-9),
+    ], ids=["hole", "rim", "rim-1e-9"])
+    def test_ring_overlap_is_one(self, profile, mirror):
+        recol = recollimation_parameters(mirror, profile)
+        assert recol.eta_prime == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        assert 0.0 < recol.p <= 1.0
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=["flattop", "matched", "doughnut-1.3",
+                                                       "doughnut-0.2"])
+    def test_rule_matches_closed_forms_at_the_cut(self, profile, monkeypatch):
+        regions = [(u, u * (1.0 + 0.999 * geometry._NARROW)) for u in (0.3, 1.0, 2.0)]
+
+        def integrals():
+            return [(geometry._pupil_cross(profile, 1.0, lo, hi),
+                     geometry._pupil_power(profile, 1.0, lo, hi),
+                     geometry._dipole_norm(lo, hi)) for lo, hi in regions]
+
+        ruled = integrals()
+        monkeypatch.setattr(geometry, "_NARROW", 0.0)
+        for got, want in zip(ruled, integrals()):
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda k: 10.0 ** k)
+
+
+class TestDoughnutTotality:
+    # Every doughnut design returns in-range values or an AtomPhaseError,
+    # from the series, the fitted and the continued-fraction branches of E1.
+    @settings(max_examples=300, deadline=None)
+    @given(f=log_uniform(1e-150, 1e150),
+           r=st.floats(2.0, 1e3, exclude_min=True, exclude_max=True),
+           h=st.floats(0.0, 2.0, exclude_max=True),
+           w=log_uniform(1e-3, 1e3))
+    def test_design(self, f, r, h, w):
+        mirror = ParabolicMirror(f, r * f, h * f)
+        doughnut = BeamProfile.doughnut(w * f)
+        try:
+            eta = overlap_eta(doughnut, mirror)
+        except AtomPhaseError:
+            pass
+        else:
+            assert 0.0 <= eta <= 1.0
+        try:
+            recol = recollimation_parameters(mirror, doughnut)
+        except AtomPhaseError:
+            pass
+        else:
+            assert 0.0 <= recol.eta_prime <= 1.0 and 0.0 < recol.p <= 1.0
+            assert recol.omega_n_prime <= mirror_weighted_solid_angle(mirror)
+
+    @settings(max_examples=50, deadline=None)
+    @given(f=log_uniform(1e-150, 1e150),
+           r=st.floats(2.0, 1e3, exclude_min=True, exclude_max=True),
+           h=st.floats(0.0, 2.0, exclude_max=True))
+    def test_optimize_waist(self, f, r, h):
+        try:
+            best = optimize_waist(ParabolicMirror(f, r * f, h * f))
+        except AtomPhaseError:
+            return
+        assert 0.1 * f <= best.waist <= 20.0 * f and 0.0 <= best.eta <= 1.0
 
 
 class TestNonFiniteInputs:
