@@ -28,12 +28,17 @@ Every overlap and re-collimation integral of a preset profile is evaluated
 in closed form: the dipole norm on pupils and cones, the flat-top and
 dipole-matched powers and cross terms, the doughnut power, and the
 doughnut cross terms through the exponential integral E1.  The one
-exception is a pupil interval narrower than 1e-3 of its outer radius,
-where two antiderivatives would cancel: there a fixed 8-point
-Gauss-Legendre rule integrates the densities.  The
-re-collimated overlap eta_prime needs no integrals of its own: it is the
-incident overlap on the kept interval (see ``recollimation_parameters``).
-Adaptive quadrature remains only for custom profiles.
+exception is a pupil or cone interval narrower than 1e-3 of its outer
+end, where two antiderivatives would cancel: there a fixed 8-point
+Gauss-Legendre rule integrates the densities.  Adaptive quadrature remains
+only for custom profiles.
+
+Each public call evaluates each distinct integral once.  A matched
+profile's cross term and power are its dipole norm.  The re-collimated
+overlap eta_prime is the incident overlap on the kept interval, and the
+annulus power behind p is the kept power plus the rings outside the kept
+interval (see ``recollimation_parameters``).  Nothing is cached between
+calls.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ __all__ = [
 # accuracy, and an identically zero integrand integrates to exactly 0.
 _EPSABS = 0.0
 _EPSREL = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = 2.0 ** -52      # the spacing of floats in [1, 2)
 _TINY = 2.0 ** -1022   # the smallest normal float
 
 
@@ -396,7 +402,7 @@ _DOUGHNUT_HEAD_TERMS = 26   # (0.2)^26 e < 1e-17
 # Q on [_E1_FIT_LO, _E1_FIT_HI): row e + 1 holds the coefficients in
 # t = 4m - 3 of the binade [2^(e-1), 2^e), where (m, e) = frexp(x).
 _E1_FIT_LO = 0.25
-_E1_FIT_HI = 16.0
+_E1_FIT_HI = 64.0
 _E1_FIT = (
     # [0.25, 0.5): degree 19, float evaluation within 1.2e-16 relative
     (
@@ -459,6 +465,28 @@ _E1_FIT = (
         1.7442542548952643e-11, -5.264414399831331e-12, 3.723482131301509e-12,
         -1.2012918765380498e-12,
     ),
+    # [16.0, 32.0): degree 21, float evaluation within 1.8e-16 relative
+    (
+        0.03722917924545072, -0.01114245046852371, 0.003350303470327532,
+        -0.0010117703066241741, 0.0003068088872861018, -9.339887688564053e-05,
+        2.853698283420566e-05, -8.749383041307516e-06, 2.691319521495213e-06,
+        -8.304086956027187e-07, 2.569688289481556e-07, -7.973764903116975e-08,
+        2.4810434282269032e-08, -7.738121625208675e-09, 2.412586646698972e-09,
+        -7.552685928924789e-10, 2.446959759243186e-10, -7.741246720987604e-11,
+        1.8740411595599525e-11, -5.718923150877909e-12, 4.189465174920426e-12,
+        -1.3646334345042561e-12,
+    ),
+    # [32.0, 64.0): degree 22, float evaluation within 2.1e-16 relative
+    (
+        0.019636993155830285, -0.006178651236229307, 0.0019467733636874523,
+        -0.0006142146226896665, 0.00019403883971376426, -6.137653182434573e-05,
+        1.9437626359316905e-05, -6.163026157651147e-06, 1.9563114313015965e-06,
+        -6.216689444274431e-07, 1.9776156799385964e-07, -6.297485819980875e-08,
+        2.0073662840337506e-08, -6.406311776743636e-09, 2.0461124761326026e-09,
+        -6.514701417899892e-10, 2.082163855265675e-10, -6.954608430705997e-11,
+        2.2443060790473996e-11, -5.180578224248865e-12, 1.596951013712133e-12,
+        -1.319835528134418e-12, 4.3623711174428026e-13,
+    ),
 )
 # END E1 FIT
 
@@ -469,10 +497,10 @@ def _scaled_e1(x: float) -> Tuple[float, float]:
     Below _E1_FIT_LO = 0.25, S is the power series of E1 and Q is formed
     from it.  Above it, Q comes first and S = 1 / (x + 1 - Q): forming Q
     from S would cancel x + 1 against 1/S, which costs the series up to
-    3.5e-15 relative just below x = 1.  On [0.25, 16) Q is one polynomial
+    3.5e-15 relative just below x = 1.  On [0.25, 64) Q is one polynomial
     per binade, fitted offline by ``tools/fit_e1.py`` (regenerate the
     coefficients with ``python tools/fit_e1.py``, which needs mpmath); it
-    is within 2.2e-16 relative of Q.  From 16 up, Q is the continued
+    is within 2.2e-16 relative of Q.  From 64 up, Q is the continued
     fraction, which needs few steps there.
     """
     if x < _E1_FIT_LO:
@@ -601,8 +629,37 @@ def _sin3_head(t: float) -> float:
     return 4.0 * s ** 4 * (2.0 + math.cos(t)) / 3.0
 
 
+# The density sin^k each cone antiderivative integrates.  On a narrow
+# interval (hi - lo <= _NARROW * hi) the antiderivatives cancel as the pupil
+# ones do, and the Gauss-Legendre rule integrates the density instead,
+# reflected to pi - t past pi / 2 like the tail integrals: pi - t is exact
+# there, so near the axis at pi the nodes keep the interval's relative
+# resolution.  sin^k is entire and the interval spans at most pi / 1000, so
+# the rule is exact to rounding.
+_CONE_DENSITY = {
+    _sin_head: math.sin,
+    _sin2_head: lambda t: math.sin(t) ** 2,
+    _sin3_head: lambda t: math.sin(t) ** 3,
+}
+
+
 def _cone_span(head: Callable[[float], float], lo: float, hi: float) -> float:
+    if hi - lo <= _NARROW * hi:
+        if lo >= 0.5 * math.pi:
+            lo, hi = math.pi - hi, math.pi - lo
+        return _gauss_legendre(_CONE_DENSITY[head], lo, hi)
     return _span(head, lambda t: head(math.pi - t), lo, hi, 0.5 * math.pi)
+
+
+def _pupil_integrals(profile: BeamProfile, f: float, lo: float,
+                     hi: float) -> Tuple[float, float, float]:
+    """(cross term, beam power, dipole norm) on [lo, hi]: an overlap's integrals."""
+    dip2 = _dipole_norm(lo, hi)
+    if profile.kind == "matched":
+        # the beam is the dipole profile, so all three are one integral, and
+        # the overlap is exactly 1
+        return dip2, dip2, dip2
+    return _pupil_cross(profile, f, lo, hi), _pupil_power(profile, f, lo, hi), dip2
 
 
 def _overlap_from_integrals(cross: float, beam2: float, dip2: float) -> float:
@@ -659,8 +716,7 @@ def overlap_eta(
                 f"({lo!r}, {hi!r})")
         f = geometry.focal_length
         lo, hi = 0.5 * lo / f, 0.5 * hi / f
-        return _overlap_from_integrals(_pupil_cross(profile, f, lo, hi),
-                                       _pupil_power(profile, f, lo, hi), _dipole_norm(lo, hi))
+        return _overlap_from_integrals(*_pupil_integrals(profile, f, lo, hi))
 
     if isinstance(geometry, ConeAperture):
         if geometry.orientation is not DipoleOrientation.AXIAL:
@@ -725,6 +781,11 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     into int beam A u du over [1 / hi, 1 / lo] = [lo, hi], and the remap
     keeps ring power.
 
+    The beam power on the whole annulus [u_h, u_R] is the kept power plus
+    the power on the rings [u_h, lo] and [hi, u_R] outside the kept
+    interval, so the kept interval is integrated once for p and eta_prime
+    alike.
+
     Raises DegenerateResultError when no rays survive (p would be 0).
     """
     f = mirror.focal_length
@@ -734,16 +795,20 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
         raise DegenerateResultError(
             "no rays survive re-collimation for this mirror (p = 0)")
 
-    power_kept = _pupil_power(profile, f, lo, hi)
-    power_in = _pupil_power(profile, f, u_h, u_r)
+    cross, power_kept, dip2 = _pupil_integrals(profile, f, lo, hi)
+    # an empty ring (lo == u_h or hi == u_r) costs nothing
+    power_in = power_kept
+    if u_h < lo:
+        power_in += _pupil_power(profile, f, u_h, lo)
+    if hi < u_r:
+        power_in += _pupil_power(profile, f, hi, u_r)
     if not 0.0 < power_in < math.inf:
         raise DegenerateResultError(
             "the beam power on the illuminated annulus is zero or leaves the "
             "floating-point range")
     p = min(power_kept / power_in, 1.0)
 
-    eta_prime = _overlap_from_integrals(
-        _pupil_cross(profile, f, lo, hi), power_kept, _dipole_norm(lo, hi))
+    eta_prime = _overlap_from_integrals(cross, power_kept, dip2)
     return Recollimation(omega_n_prime=_annulus_weight(lo, hi),
                          eta_prime=eta_prime, p=p)
 
@@ -755,23 +820,62 @@ class WaistOptimum(NamedTuple):
     eta: float
 
 
-def _golden_max(
+def _brent_max(
     fn: Callable[[float], float], lo: float, hi: float, rel_tol: float
 ) -> Tuple[float, float]:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > rel_tol * max(abs(lo), abs(hi)):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
+    # Brent's method (R. P. Brent, Algorithms for Minimization without
+    # Derivatives, 1973, ch. 5) on g = -fn: a parabola through the three
+    # best points (x, w, v) where its vertex lies well inside the bracket
+    # [a, b] and the step is shrinking, a golden-section step into the
+    # larger half otherwise.  It stops once every point of the bracket is
+    # within rel_tol * x / 2 of x, so the bracket is at most rel_tol * x
+    # wide; steps never fall below tol, which is at least one ulp of x.
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN_SECTION * (b - a)
+    gx = gw = gv = -fn(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = max(0.25 * rel_tol, _EPS) * x
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, -gx
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # the vertex is x + p / q: take it if it moves less than half the
+            # step before last and stays inside the bracket
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, m - x)
+        if golden:
+            e = (b - x) if x < m else (a - x)
+            d = _GOLDEN_SECTION * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        gu = -fn(u)
+        if gu <= gx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-    x = 0.5 * (lo + hi)
-    return x, fn(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
 
 
 def optimize_waist(
@@ -783,8 +887,13 @@ def optimize_waist(
     """Maximize the pupil overlap over a one-parameter beam family.
 
     ``family`` maps a waist to a BeamProfile (default: the doughnut ring
-    mode).  The search is a golden-section scan of [0.1 f, 20 f], assuming
-    a unimodal overlap, to relative tolerance 1e-6 on the waist.
+    mode).  The search is Brent's method on ``bracket`` (default
+    [0.1 f, 20 f]), assuming a unimodal overlap: parabolic steps near the
+    maximum, golden-section steps where they would not shrink the bracket.
+    It stops once the bracket holding the maximum is narrower than
+    ``rel_tol`` (a positive number, default 1e-6) times the waist; one
+    below 2^-50 (about 8.9e-16) is taken as 2^-50.  The returned eta is
+    the best overlap evaluated.
     """
     if family is None:
         family = BeamProfile.doughnut
@@ -793,9 +902,11 @@ def optimize_waist(
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise DomainError(
             f"bracket must satisfy 0 < lo < hi < inf, got ({lo!r}, {hi!r})")
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
 
     def score(w: float) -> float:
         return overlap_eta(family(w), mirror)
 
-    waist, eta = _golden_max(score, lo, hi, rel_tol)
+    waist, eta = _brent_max(score, lo, hi, rel_tol)
     return WaistOptimum(waist=waist, eta=eta)

@@ -23,14 +23,16 @@ with open(os.path.join(HERE, "e1_reference.json"), encoding="utf-8") as fh:
 
 # where the series meets the fit, the fit's binades meet, and the fit meets
 # the continued fraction
-BOUNDARIES = [math.ldexp(1.0, e) for e in range(-2, 5)]
+BOUNDARIES = [math.ldexp(1.0, e) for e in range(math.frexp(geometry._E1_FIT_LO)[1] - 1,
+                                                 math.frexp(geometry._E1_FIT_HI)[1])]
 
 
 class TestReferenceValues:
     def test_grid_covers_every_branch(self):
         xs = [x for x, _, _ in REFERENCE]
         assert len(xs) >= 400 and min(xs) <= 1e-3 and max(xs) >= 1e3
-        assert geometry._E1_FIT_LO in BOUNDARIES and geometry._E1_FIT_HI in BOUNDARIES
+        assert (BOUNDARIES[0], BOUNDARIES[-1]) == (geometry._E1_FIT_LO, geometry._E1_FIT_HI)
+        assert len(geometry._E1_FIT) == len(BOUNDARIES) - 1   # one row per binade
         for b in BOUNDARIES:
             assert {math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)} <= set(xs)
 

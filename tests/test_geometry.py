@@ -435,38 +435,56 @@ class TestRecollimation:
             assert recol.omega_n_prime <= mirror_weighted_solid_angle(mirror) + 1e-12
             assert 0.0 <= recol.p <= 1.0
 
+    @pytest.mark.parametrize("mirror", [ParabolicMirror(1.3, 7.0, 0.5),
+                                        ParabolicMirror(1.3, 7.0, 2.0),
+                                        ParabolicMirror(0.7, 30.0)],
+                             ids=["inner-ring", "outer-ring", "hole-free"])
+    def test_custom_power_integrates_each_ring_once(self, mirror, monkeypatch):
+        # p's annulus power is the kept power plus the rings outside the kept
+        # interval: the power integrals tile [u_h, u_R] with no overlap
+        f = mirror.focal_length
+        beam = lambda d: math.exp(-(d / (1.5 * f)) ** 2)
+        intervals, real_quad = [], geometry._quad
+
+        def recording_quad(fn, lo, hi):
+            probe = 0.5 * (lo + hi)
+            if fn(probe) == beam(f * (2.0 * probe)) ** 2 * probe:
+                intervals.append((lo, hi))
+            return real_quad(fn, lo, hi)
+
+        monkeypatch.setattr(geometry, "_quad", recording_quad)
+        recollimation_parameters(mirror, BeamProfile.custom(beam))
+        intervals.sort()
+        u_h, u_r = 0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f
+        assert intervals[0][0] == u_h and intervals[-1][1] == u_r
+        assert all(a < b for a, b in intervals)
+        assert all(prev[1] == cur[0] for prev, cur in zip(intervals, intervals[1:]))
+
+    def test_custom_matches_quadrature_oracle(self):
+        # p and eta_prime of a Gaussian from independent quadrature in d
+        rng = np.random.default_rng(71)
+        for mirror in seeded_mirrors(seed=73, f=0.8, count=8):
+            f, r, h = mirror.focal_length, mirror.aperture_radius, mirror.hole_radius
+            g = 10.0 ** rng.uniform(-0.7, 0.7) * f
+            beam = lambda d, g=g: math.exp(-(d / g) ** 2)
+            dip = lambda d: pupil_dipole_profile(d, mirror)
+            lo, hi = (2.0 * f * u for u in kept_interval(mirror))
+            scales = (2.0 * f, g, 4.0 * f * f / g)
+            kept = oracle_quad(lambda d: beam(d) ** 2 * d, lo, hi, scales)
+            total = oracle_quad(lambda d: beam(d) ** 2 * d, h, r, scales)
+            cross = oracle_quad(lambda d: beam(d) * dip(d) * d, lo, hi, scales)
+            norm = oracle_quad(lambda d: dip(d) ** 2 * d, lo, hi, scales)
+            recol = recollimation_parameters(mirror, BeamProfile.custom(beam))
+            assert recol.p == pytest.approx(kept / total, rel=1e-12, abs=0.0), mirror
+            assert recol.eta_prime == pytest.approx(
+                cross / math.sqrt(kept * norm), rel=1e-12, abs=0.0), mirror
+
     def test_degenerate_when_nothing_survives(self):
         # hole so large that every surviving ray exits through it
         mirror = ParabolicMirror(focal_length=1.0, aperture_radius=2.1,
                                  hole_radius=2.05)
         with pytest.raises(DegenerateResultError):
             recollimation_parameters(mirror, BeamProfile.flat_top())
-
-
-class TestOptimizeWaist:
-    DEEP = ParabolicMirror(focal_length=1.0, aperture_radius=20.0,
-                           hole_radius=0.4)
-
-    def test_matched_family_is_perfect(self):
-        family = lambda w: BeamProfile.dipole_matched()
-        result = optimize_waist(self.DEEP, family=family)
-        np.testing.assert_allclose(result.eta, 1.0, atol=1e-9)
-
-    def test_doughnut_on_deep_mirror(self):
-        result = optimize_waist(self.DEEP)
-        assert 0.95 <= result.eta < 1.0
-        assert 0.1 <= result.waist <= 20.0
-
-    def test_local_optimality(self):
-        result = optimize_waist(self.DEEP)
-        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
-            nearby = overlap_eta(BeamProfile.doughnut(result.waist * factor),
-                                 self.DEEP)
-            assert nearby <= result.eta + 1e-12
-
-    def test_bad_bracket_rejected(self):
-        with pytest.raises(DomainError):
-            optimize_waist(self.DEEP, bracket=(2.0, 1.0))
 
 
 FLAT = BeamProfile.flat_top()
@@ -530,6 +548,73 @@ def exit_beam_overlap(beam, mirror, scales):
         2.0 * f * lo, 2.0 * f * hi, scales=(2.0 * f,) + scales, epsrel=1e-13)
     return cross / (4.0 * f * f) / math.sqrt(geometry._pupil_power(beam, f, lo, hi)
                                              * geometry._dipole_norm(lo, hi))
+
+
+def golden_section_max(fn, lo, hi, rel_tol):
+    """Reference maximiser: golden-section search until the bracket is
+    narrower than rel_tol times its larger end, then fn at its midpoint."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > rel_tol * hi:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = fn(x1)
+    x = 0.5 * (lo + hi)
+    return x, fn(x)
+
+
+class TestOptimizeWaist:
+    DEEP = ParabolicMirror(focal_length=1.0, aperture_radius=20.0,
+                           hole_radius=0.4)
+    MIRRORS = [DEEP] + seeded_mirrors(seed=79, f=1.7, count=3)
+
+    def test_matched_family_is_perfect(self):
+        family = lambda w: BeamProfile.dipole_matched()
+        result = optimize_waist(self.DEEP, family=family)
+        assert result.eta == 1.0
+
+    @pytest.mark.parametrize("mirror", MIRRORS)
+    def test_few_evaluations(self, mirror):
+        waists = []
+
+        def family(w):
+            waists.append(w)
+            return BeamProfile.doughnut(w)
+
+        result = optimize_waist(mirror, family=family)
+        assert len(waists) <= 20
+        assert result.waist in waists
+
+    @pytest.mark.parametrize("mirror", MIRRORS)
+    def test_at_least_as_good_as_golden_section(self, mirror):
+        f = mirror.focal_length
+        waist, eta = golden_section_max(
+            lambda w: overlap_eta(BeamProfile.doughnut(w), mirror), 0.1 * f, 20.0 * f, 1e-6)
+        result = optimize_waist(mirror)
+        assert result.eta >= eta - 1e-12
+        assert result.waist == pytest.approx(waist, rel=1e-5, abs=0.0)
+
+    def test_doughnut_on_deep_mirror(self):
+        result = optimize_waist(self.DEEP)
+        assert 0.95 <= result.eta < 1.0
+        assert 0.1 <= result.waist <= 20.0
+
+    def test_local_optimality(self):
+        result = optimize_waist(self.DEEP)
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            nearby = overlap_eta(BeamProfile.doughnut(result.waist * factor),
+                                 self.DEEP)
+            assert nearby <= result.eta + 1e-12
+
+    def test_bad_bracket_rejected(self):
+        with pytest.raises(DomainError):
+            optimize_waist(self.DEEP, bracket=(2.0, 1.0))
 
 
 class TestClosedForms:
@@ -807,6 +892,34 @@ class TestNarrowInterval:
             assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
+class TestNarrowCone:
+    # Differencing the sin^k antiderivatives on a narrow angular region gave
+    # eta = 0.984 at width 1e-15 near 0.3 rad; the true value is 1 - O(width^2)
+    CONE = ConeAperture(math.pi, AXIAL)
+
+    @pytest.mark.parametrize("lo, width", [
+        (0.3, 1e-15), (0.3, 1e-9), (2.0, 1e-15), (2.0, 1e-9),
+        (math.pi - 1e-6 - 1e-13, 1e-13), (math.pi - 1e-6 - 1e-15, 1e-15),
+    ])
+    def test_ring_overlap_is_one(self, lo, width):
+        eta = overlap_eta(FLAT, self.CONE, (lo, lo + width))
+        assert eta == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+    def test_axis_at_pi(self):
+        # the last nanoradian before pi: sin t ~ pi - t, as near the axis at 0
+        eta = overlap_eta(FLAT, self.CONE, (math.pi - 1e-9, math.pi))
+        assert eta == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("head", [geometry._sin_head, geometry._sin2_head,
+                                      geometry._sin3_head], ids=["sin", "sin2", "sin3"])
+    def test_rule_matches_closed_forms_at_the_cut(self, head, monkeypatch):
+        regions = [(t * (1.0 - 0.999 * geometry._NARROW), t) for t in (0.3, 1.0, 2.0, 3.0)]
+        ruled = [geometry._cone_span(head, lo, hi) for lo, hi in regions]
+        monkeypatch.setattr(geometry, "_NARROW", 0.0)
+        for got, (lo, hi) in zip(ruled, regions):
+            assert got == pytest.approx(geometry._cone_span(head, lo, hi), rel=1e-11, abs=0.0)
+
+
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda k: 10.0 ** k)
 
@@ -882,6 +995,11 @@ class TestNonFiniteInputs:
         for bracket in ((0.1, bad), (bad, 20.0)):
             with pytest.raises(DomainError):
                 optimize_waist(mirror, bracket=bracket)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_waist_rel_tol(self, rel_tol):
+        with pytest.raises(DomainError):
+            optimize_waist(ParabolicMirror(1.0, 20.0, 0.4), rel_tol=rel_tol)
 
     def test_unknown_profile_kind(self):
         with pytest.raises(DomainError):

@@ -2,7 +2,7 @@
 
 With S(x) = e^x E1(x), the doughnut cross terms need S and
 Q(x) = x + 1 - 1/S(x), which lies in (0, 1).  ``geometry._scaled_e1``
-evaluates Q on [0.25, 16) as one polynomial per binade [2^(e-1), 2^e) in
+evaluates Q on [0.25, 64) as one polynomial per binade [2^(e-1), 2^e) in
 t = 4m - 3, where x = m 2^e with m in [0.5, 1) is ``math.frexp(x)``, so
 t runs over [-1, 1) and is formed without rounding.  Each polynomial is a
 Chebyshev interpolant of Q at 50 digits, truncated where the dropped
@@ -15,21 +15,25 @@ exponential integral E1(x)", Math. Comp. 22 (1968) 641-649.
 Run from the repository root (needs mpmath; the package never imports
 this script):
 
-    python tools/fit_e1.py
+    python tools/fit_e1.py            # rewrite both files
+    python tools/fit_e1.py --check    # write nothing; exit 1 if either would change
 
 It rewrites the generated block of ``src/atomphase/geometry.py`` and
 writes ``tests/e1_reference.json``: x, S(x) and Q(x) rounded to floats,
 on 401 log-spaced points over [1e-3, 1e3], at each piece boundary 0.25,
-0.5, ..., 16 and at the floats on either side of it.  The script fails if a fitted
+0.5, ..., 64 and at the floats on either side of it.  The script fails if a fitted
 polynomial, evaluated in float arithmetic as ``geometry._horner`` does,
 is off by more than 2^-52 relative anywhere on its check grid.  Its
 output is a function of the mpmath version alone: running it twice
-gives the same bytes.
+gives the same bytes, and ``--check`` verifies that the committed files
+are that output (CI runs it with mpmath 1.3.0).
 """
 
+import argparse
 import json
 import math
 import os
+import sys
 
 import mpmath as mp
 
@@ -40,7 +44,7 @@ BEGIN = "# BEGIN E1 FIT: generated by tools/fit_e1.py, do not edit\n"
 END = "# END E1 FIT\n"
 
 DIGITS = 50
-BINADES = range(-1, 5)          # [0.25, 0.5) ... [8, 16)
+BINADES = range(-1, 7)          # [0.25, 0.5) ... [32, 64)
 NODES = 41                      # Chebyshev nodes per binade before truncation
 TAIL = mp.mpf(2) ** -56         # dropped coefficients, relative to min Q
 CHECK_POINTS = 2000             # per binade, for the float-evaluation check
@@ -154,7 +158,11 @@ def reference_json():
             ' "points": [\n' + ",\n".join(rows) + "\n ]\n}\n")
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if a generated file would change")
+    args = parser.parse_args(argv)
     mp.mp.dps = DIGITS
     with open(GEOMETRY, encoding="utf-8") as fh:
         source = fh.read()
@@ -162,13 +170,28 @@ def main():
     _, found_end, tail = rest.partition(END)
     if not (found and found_end):
         raise SystemExit(f"{GEOMETRY}: no generated E1 block between the markers")
-    block, reference = fit_block(), reference_json()
-    json.loads(reference)
-    with open(GEOMETRY, "w", encoding="utf-8") as fh:
-        fh.write(head + block + tail)
-    with open(REFERENCE, "w", encoding="utf-8") as fh:
-        fh.write(reference)
+    outputs = {GEOMETRY: head + fit_block() + tail, REFERENCE: reference_json()}
+    json.loads(outputs[REFERENCE])
+    if args.check:
+        stale = []
+        for path, text in outputs.items():
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    current = fh.read()
+            except FileNotFoundError:
+                current = None
+            if current != text:
+                stale.append(os.path.relpath(path, ROOT))
+        if stale:
+            print(f"out of date with tools/fit_e1.py (mpmath {mp.__version__}): "
+                  + ", ".join(stale), file=sys.stderr)
+            return 1
+        return 0
+    for path, text in outputs.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
