@@ -8,14 +8,18 @@ approximates the drive frequency by the transition frequency, which is the
 usual near-resonant assumption.
 
 Every function is pure and safe to map over parameter grids in parallel.
+Private helpers write each expression of a sweep row once, for one number
+or a numpy chunk alike; the sweep kernel calls them too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Tuple
 
+import numpy as np
 from scipy.constants import c as _C, epsilon_0 as _EPS0, hbar as _HBAR
 
 from .errors import DomainError
@@ -42,6 +46,31 @@ def _require_real_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be real, got {value!r}")
     if not value > 0:
         raise DomainError(f"{name} must be positive, got {value!r}")
+
+
+def _check_finite(name: str, value: float, non_negative: bool = False) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if non_negative and value < 0:
+        raise DomainError(f"{name} must be non-negative, got {value!r}")
+
+
+def _check_unit_interval(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _pow(base, exponent: float):
+    """libm's pow of a number, or elementwise over a numpy array: numpy's
+    own power differs from libm by up to 4 ulp."""
+    if isinstance(base, np.ndarray):
+        return np.array(list(map(math.pow, base.tolist(), repeat(exponent))))
+    return math.pow(base, exponent)
+
+
+def _sqrt(x):
+    """Square root of a number or a numpy array; IEEE 754 rounds both exactly."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -133,8 +162,7 @@ def physical_to_normalized(
     if not 0.0 <= solid_angle <= FULL_DIPOLE_SOLID_ANGLE:
         raise DomainError(
             f"solid_angle must lie in [0, 8 pi/3], got {solid_angle!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta!r}")
+    _check_unit_interval("eta", eta)
     e_field = (
         math.sqrt(2.0 * power)
         / (atom.wavelength * math.sqrt(_EPS0 * _C))
@@ -146,6 +174,14 @@ def physical_to_normalized(
     return NormalizedDrive(e_field=e_field, rabi=rabi, s0=s0)
 
 
+def _drive_terms(delta, name: str, value):
+    """(1 + 4 delta^2, s0, s) of a drive given as s0 or as s (name "s0" or
+    "s"); a fixed s is converted per point via s0 = s (1 + 4 delta^2)."""
+    lorentz = 1.0 + 4.0 * delta * delta
+    s0 = value * lorentz if name == "s" else value
+    return lorentz, s0, s0 / lorentz
+
+
 def detuned_drive(delta: float, s0: float) -> Tuple[float, float]:
     """(1 + 4 delta^2, s) for an accepted drive: the drive rules of every
     scalar function and of the sweep kernel.
@@ -155,15 +191,11 @@ def detuned_drive(delta: float, s0: float) -> Tuple[float, float]:
     """
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta!r}")
-    lorentz = 1.0 + 4.0 * delta * delta
+    lorentz, _, s = _drive_terms(delta, "s0", s0)
     if lorentz == math.inf:
         raise DomainError(
             f"|delta| is too large: 1 + 4 delta^2 overflows at delta={delta!r}")
-    if not math.isfinite(s0):
-        raise DomainError(f"s0 must be finite, got {s0!r}")
-    if s0 < 0:
-        raise DomainError(f"s0 must be non-negative, got {s0!r}")
-    s = s0 / lorentz
+    _check_finite("s0", s0, non_negative=True)
     try:
         math.pow(1.0 + s, 2.0)
     except OverflowError:
@@ -183,8 +215,10 @@ def saturation_at_detuning(s0: float, delta: float) -> float:
 def excited_state_population(s: float) -> float:
     """Steady-state upper-level population (s/2) / (1 + s).
 
-    Monotone in s and bounded by the fully saturated value 1/2.
+    Monotone in s and bounded by the fully saturated value 1/2.  Raises
+    DomainError for a non-finite or negative s.
     """
+    _check_finite("s", s, non_negative=True)
     return 0.5 * s / (1.0 + s)
 
 
@@ -195,8 +229,20 @@ def steady_state_coherence(rabi: float, delta_abs: float, gamma: float) -> compl
 
     with the absolute detuning delta_abs in rad/s.  The phase of the result
     does not depend on the drive strength; only its magnitude saturates.
+    Raises DomainError for a non-finite input, a gamma that is not positive,
+    or a denominator that overflows or underflows to zero.
     """
-    denom = 4.0 * delta_abs**2 + gamma**2 + 2.0 * rabi**2
+    for name, value in (("rabi", rabi), ("delta_abs", delta_abs), ("gamma", gamma)):
+        _check_finite(name, value)
+    _require_real_positive("gamma", gamma)
+    try:
+        denom = 4.0 * delta_abs**2 + gamma**2 + 2.0 * rabi**2
+    except OverflowError:
+        denom = math.inf
+    if not 0.0 < denom < math.inf:
+        raise DomainError(
+            "4 delta_abs^2 + gamma^2 + 2 rabi^2 is not a positive finite float "
+            f"at rabi={rabi!r}, delta_abs={delta_abs!r}, gamma={gamma!r}")
     return rabi * complex(-2.0 * delta_abs, gamma) / denom
 
 
@@ -216,12 +262,26 @@ def scattered_power_ratio(omega_n: float, eta: float, delta: float, s0: float) -
     4 omega_n eta^2 / ((1 + 4 delta^2) (1 + s)^2), with s the detuned
     saturation parameter.  Reaches 2 for half-solid-angle focusing and 4 for
     full dipole-weighted coverage, both at zero detuning and weak drive.
-    Rejects the drives that ``saturation_at_detuning`` rejects.
+    Rejects an omega_n or eta outside [0, 1] and the drives that
+    ``saturation_at_detuning`` rejects.
     """
-    lorentz, s = detuned_drive(delta, s0)
-    return 4.0 * omega_n * eta * eta / (lorentz * (1.0 + s) ** 2)
+    _check_unit_interval("omega_n", omega_n)
+    _check_unit_interval("eta", eta)
+    return _power_ratio(omega_n, eta, *detuned_drive(delta, s0))
+
+
+def _power_ratio(omega_n, eta, lorentz, s):
+    return 4.0 * omega_n * eta * eta / (lorentz * _pow(1.0 + s, 2.0))
 
 
 def coherent_fraction(s: float) -> float:
-    """Fraction 1 / (1 + s) of the scattered power coherent with the drive."""
+    """Fraction 1 / (1 + s) of the scattered power coherent with the drive.
+
+    Raises DomainError for a non-finite or negative s.
+    """
+    _check_finite("s", s, non_negative=True)
+    return _coherent_fraction(s)
+
+
+def _coherent_fraction(s):
     return 1.0 / (1.0 + s)

@@ -13,6 +13,11 @@ asymmetric setup replaces the coupling weight by the geometric mean of the
 focusing and collection sides and rescales the transmitted amplitude by the
 surviving power fraction sqrt(p).
 
+Each part of that amplitude is written once, in a private helper beside the
+function that owns it, and takes one number or a numpy chunk alike.  The
+sweep kernel computes its columns through the same helpers, so a sweep is
+bit-identical to these functions by construction.
+
 Every function here rejects with DomainError the drives that a sweep
 rejects: a non-finite delta, s0 or s, a negative s0, and a delta or s0 so
 large that 1 + 4 delta^2 or (1 + s)^2 overflows.
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .atom import detuned_drive
+from .atom import _check_finite, _check_unit_interval, _drive_terms, _pow, _sqrt, detuned_drive
 from .errors import (
     DegenerateResultError,
     DomainError,
@@ -57,11 +62,6 @@ class PhaseBranch(Enum):
     ZERO = "zero"         # on resonance, transmitted light dominates
     BOUNDARY = "boundary" # both parts vanish; the phase is undefined
     GENERIC = "generic"   # off resonance
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,33 @@ KERR_POLE_MESSAGE = ("1 + 4 delta^2 - 2 omega_n eta^2 vanished; the linear phase
                      "a pole here")
 
 
+def _weight(omega_n, eta):
+    return 2.0 * omega_n * _pow(eta, 2.0)
+
+
+def _cross_weight(omega_n, eta, omega_n_prime, eta_prime):
+    return 2.0 * _sqrt(omega_n * omega_n_prime) * eta * eta_prime
+
+
+def _real_part(lorentz, s, weight, p=1.0):
+    """sqrt(p) (1+s)^(3/2) (1+4 delta^2) - weight.  At s = 0 and p = 1 it is
+    the Kerr denominator 1 + 4 delta^2 - weight, since sqrt(1) and 1^(3/2)
+    are exactly 1."""
+    return math.sqrt(p) * _pow(1.0 + s, 1.5) * lorentz - weight
+
+
+def _imag_part(weight, delta):
+    return -2.0 * weight * delta
+
+
+def _dispersive_phase(weight, delta, real):
+    return _imag_part(weight, delta) / real
+
+
+def _kerr_phase(phi0, s):
+    return phi0 * (1.0 - 1.5 * s)
+
+
 def _assemble(real: float, imag: float) -> PhaseResult:
     # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
     imag = imag + 0.0
@@ -151,10 +178,8 @@ def phase_symmetric(coupling: SymmetricCoupling, delta: float, s0: float) -> Pha
     vanishes and DegenerateResultError is raised instead of a silent zero.
     """
     lorentz, s = detuned_drive(delta, s0)
-    weight = 2.0 * coupling.omega_n * coupling.eta**2
-    real = (1.0 + s) ** 1.5 * lorentz - weight
-    imag = -2.0 * weight * delta
-    return _assemble(real, imag)
+    weight = _weight(coupling.omega_n, coupling.eta)
+    return _assemble(_real_part(lorentz, s, weight), _imag_part(weight, delta))
 
 
 def phase_asymmetric(coupling: AsymmetricCoupling, delta: float, s0: float) -> PhaseResult:
@@ -167,22 +192,19 @@ def phase_asymmetric(coupling: AsymmetricCoupling, delta: float, s0: float) -> P
     lorentz, s = detuned_drive(delta, s0)
     if coupling.p == 0:
         raise DomainError("p must be positive for a defined phase")
-    cross = (2.0 * math.sqrt(coupling.omega_n * coupling.omega_n_prime)
-             * coupling.eta * coupling.eta_prime)
-    real = math.sqrt(coupling.p) * (1.0 + s) ** 1.5 * lorentz - cross
-    imag = -2.0 * cross * delta
-    return _assemble(real, imag)
+    cross = _cross_weight(coupling.omega_n, coupling.eta,
+                          coupling.omega_n_prime, coupling.eta_prime)
+    return _assemble(_real_part(lorentz, s, cross, coupling.p), _imag_part(cross, delta))
 
 
 def resonance_branch(coupling: SymmetricCoupling, s0: float) -> PhaseBranch:
     """On-resonance branch: PI iff 2 omega_n eta^2 > (1+s0)^(3/2), ZERO iff
     smaller, BOUNDARY at exact equality."""
-    detuned_drive(0.0, s0)
-    weight = 2.0 * coupling.omega_n * coupling.eta**2
-    reference = (1.0 + s0) ** 1.5
-    if weight > reference:
+    # at delta = 0 the real part has the sign of (1+s0)^(3/2) - 2 omega_n eta^2
+    real = _real_part(*detuned_drive(0.0, s0), _weight(coupling.omega_n, coupling.eta))
+    if real < 0.0:
         return PhaseBranch.PI
-    if weight < reference:
+    if real > 0.0:
         return PhaseBranch.ZERO
     return PhaseBranch.BOUNDARY
 
@@ -197,7 +219,7 @@ def critical_saturation(coupling: SymmetricCoupling) -> Optional[float]:
     s0 >= s* + 2 ulp(1 + s*).  In between, and at s* itself, either branch
     or BOUNDARY may come out.
     """
-    weight = 2.0 * coupling.omega_n * coupling.eta**2
+    weight = _weight(coupling.omega_n, coupling.eta)
     if weight < 1.0:
         return None
     return weight ** (2.0 / 3.0) - 1.0
@@ -218,12 +240,12 @@ def dispersive_phase_arctan(coupling: SymmetricCoupling, delta: float, s0: float
         raise DomainError(
             f"the arctan form requires |delta| >= 0.5, got {delta!r}")
     lorentz, s = detuned_drive(delta, s0)
-    weight = 2.0 * coupling.omega_n * coupling.eta**2
-    numer = 2.0 * weight * delta
-    denom = (1.0 + s) ** 1.5 * lorentz - weight
-    if denom == 0.0:
-        return math.copysign(0.5 * math.pi, -numer)
-    return -math.atan(numer / denom)
+    weight = _weight(coupling.omega_n, coupling.eta)
+    real = _real_part(lorentz, s, weight)
+    if real == 0.0:
+        return math.copysign(0.5 * math.pi, _imag_part(weight, delta))
+    # -atan(-x) rather than atan(x): libm's atan need not be odd bit for bit
+    return -math.atan(-_dispersive_phase(weight, delta, real))
 
 
 def kerr_linear_phase(coupling: SymmetricCoupling, delta: float) -> float:
@@ -233,17 +255,22 @@ def kerr_linear_phase(coupling: SymmetricCoupling, delta: float) -> float:
 
     Raises PoleError when the denominator vanishes.
     """
-    lorentz, _ = detuned_drive(delta, 0.0)
-    weight = 2.0 * coupling.omega_n * coupling.eta**2
-    denom = lorentz - weight
+    lorentz, s = detuned_drive(delta, 0.0)
+    weight = _weight(coupling.omega_n, coupling.eta)
+    denom = _real_part(lorentz, s, weight)
     if denom == 0.0:
         raise PoleError(KERR_POLE_MESSAGE)
-    return -2.0 * weight * delta / denom
+    return _dispersive_phase(weight, delta, denom)
 
 
 def kerr_phase(phi0: float, s: float) -> float:
-    """Intensity-corrected phase phi0 (1 - 3 s / 2)."""
-    return phi0 * (1.0 - 1.5 * s)
+    """Intensity-corrected phase phi0 (1 - 3 s / 2).
+
+    Raises DomainError for a non-finite phi0 or a non-finite or negative s.
+    """
+    _check_finite("phi0", phi0)
+    _check_finite("s", s, non_negative=True)
+    return _kerr_phase(phi0, s)
 
 
 def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> float:
@@ -260,22 +287,18 @@ def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> 
     UndefinedRatioError when the reference phase is zero and PoleError when
     either denominator vanishes.
     """
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
-    if s < 0:
-        raise DomainError(f"s must be non-negative, got {s!r}")
+    _check_finite("s", s, non_negative=True)
     # checked as the sweep checks a fixed s: through s0 = s (1 + 4 delta^2)
-    lorentz, _ = detuned_drive(delta, s * (1.0 + 4.0 * delta * delta))
-    weight = 2.0 * coupling.omega_n * coupling.eta**2
-    numer = -2.0 * weight * delta
-    denom = (1.0 + s) ** 1.5 * lorentz - weight
-    if denom == 0.0:
+    lorentz, _ = detuned_drive(delta, _drive_terms(delta, "s", s)[1])
+    weight = _weight(coupling.omega_n, coupling.eta)
+    real = _real_part(lorentz, s, weight)
+    if real == 0.0:
         raise PoleError("the dispersive reference phase has a pole here")
-    reference = numer / denom
+    reference = _dispersive_phase(weight, delta, real)
     if reference == 0.0:
         raise UndefinedRatioError(
             "the reference phase vanishes; the relative error is undefined")
-    approx = kerr_phase(kerr_linear_phase(coupling, delta), s)
+    approx = _kerr_phase(kerr_linear_phase(coupling, delta), s)
     return abs(reference - approx) / abs(reference)
 
 

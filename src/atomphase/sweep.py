@@ -11,12 +11,14 @@ rows.  The first checks every point, so a sweep that fails writes
 nothing; the second computes each chunk's columns, renders them as CSV
 or JSON and drops them, so memory does not grow with the grid beyond the
 grid itself (8 bytes a point).  The columns are bit-identical to
-evaluating the scalar functions of :mod:`atomphase.phase` point by point:
-numpy does only + - * / and sqrt, which IEEE 754 rounds exactly, while
-every power and arctangent goes through ``math.pow`` / ``math.atan2``,
-the platform libm that the scalar code calls too.  numpy's vectorised
-``power`` and ``arctan2`` differ from libm by up to 4 ulp and may vary
-with the CPU's instruction set, which would move printed digits.
+evaluating the scalar functions of :mod:`atomphase.phase` point by point
+by construction: the kernel computes every column through the private
+helpers of :mod:`atomphase.atom` and :mod:`atomphase.phase` that those
+functions call, and adds only slicing, boundary masking, the arctangent
+and column assembly.  The helpers keep every power on ``math.pow``, and
+the kernel every arctangent on ``math.atan2``: the platform libm, where
+numpy's vectorised ``power`` and ``arctan2`` differ by up to 4 ulp and may
+vary with the CPU's instruction set, which would move printed digits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from itertools import islice, repeat
 from operator import attrgetter, index
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
@@ -33,7 +34,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .atom import detuned_drive
+from .atom import _coherent_fraction, _drive_terms, _power_ratio, detuned_drive
 from .errors import DegenerateResultError, DomainError, PoleError
 from .phase import (
     KERR_POLE_MESSAGE,
@@ -41,6 +42,12 @@ from .phase import (
     AsymmetricCoupling,
     PhaseBranch,
     SymmetricCoupling,
+    _cross_weight,
+    _dispersive_phase,
+    _imag_part,
+    _kerr_phase,
+    _real_part,
+    _weight,
 )
 
 __all__ = [
@@ -212,13 +219,6 @@ _BRANCHES = np.array([PhaseBranch.GENERIC.value, PhaseBranch.PI.value,
 _CHUNK_ROWS = 1024   # rows computed, rendered and written at a time
 
 
-def _pow(base, exponent: float):
-    """libm's pow, elementwise over an array, as the scalar code computes it."""
-    if isinstance(base, np.ndarray):
-        return np.array(list(map(math.pow, base.tolist(), repeat(exponent))))
-    return math.pow(base, exponent)
-
-
 def _column(values):
     """A chunk's column: a list of Python values, or one value for all rows."""
     return values.tolist() if isinstance(values, (np.ndarray, np.generic)) else values
@@ -262,28 +262,25 @@ def _validate(delta, drive: Tuple[str, object], n: int) -> None:
     grid, raising its error at the first point of the first rule that fails.
 
     Chunk by chunk, only the first failing point of each rule is kept, and
-    the point where 1 + s is largest: (1+s)^2 overflows somewhere iff it
-    does there, and detuned_drive decides that with the same math.pow as
-    _pow in pass 2.
+    the point where s is largest: (1+s)^2 overflows somewhere iff it does
+    there, and detuned_drive decides that with the same math.pow as pass 2.
     """
     name, values = drive
     first: List[Optional[Tuple[float, float]]] = [None] * 4
-    top = None   # (1 + s, delta, s0) at the first largest 1 + s
+    top = None   # (s, delta, s0) at the first largest s
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, _CHUNK_ROWS):
             d, v = _part(delta, lo), _part(values, lo)
-            lorentz = 1.0 + 4.0 * d * d
-            s0 = v * lorentz if name == "s" else v
-            onep = 1.0 + s0 / lorentz
+            lorentz, s0, s = _drive_terms(d, name, v)
             rules = ((~np.isfinite(d), v), (~np.isfinite(lorentz), v),
                      (~np.isfinite(s0), s0), (s0 < 0.0, s0))
             for k, (bad, given) in enumerate(rules):
                 if first[k] is None and np.any(bad):
                     i = int(np.argmax(bad))
                     first[k] = (_item(d, i), _item(given, i))
-            i = int(np.argmax(onep))
-            if top is None or _item(onep, i) > top[0]:
-                top = (_item(onep, i), _item(d, i), _item(s0, i))
+            i = int(np.argmax(s))
+            if top is None or _item(s, i) > top[0]:
+                top = (_item(s, i), _item(d, i), _item(s0, i))
     for point in first:
         if point is not None:
             detuned_drive(*point)
@@ -296,11 +293,10 @@ def _item(values, i: int) -> float:
 
 def _chunks(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple[str, object],
             omega_n, eta, n: int) -> Iterator[list]:
-    """Pass 2: each chunk's columns.  Each expression keeps the operation
-    order of the scalar functions in :mod:`atomphase.phase` and
-    :mod:`atomphase.atom`; a single number gives the same bits as an array
-    of it, because numpy and Python floats both round every + - * / by
-    IEEE 754."""
+    """Pass 2: each chunk's columns, by the helpers that the scalar
+    functions of :mod:`atomphase.atom` and :mod:`atomphase.phase` call.  A
+    single number gives the same bits as an array of it, because numpy and
+    Python floats both round every + - * / and sqrt by IEEE 754."""
     name, values = drive
     for lo in range(0, n, _CHUNK_ROWS):
         w = _part(swept, lo)
@@ -310,30 +306,25 @@ def _chunks(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple
         # Python floats overflow to inf without a warning, and so do these
         # columns: (1+s)^1.5 (1+4 delta^2) may overflow where the phase tends to 0.
         with np.errstate(over="ignore"):
-            lorentz = 1.0 + 4.0 * d * d
-            s0 = v * lorentz if name == "s" else v
-            s = s0 / lorentz
-            onep = 1.0 + s
-            ratio = 4.0 * on * et * et / (lorentz * _pow(onep, 2.0))
-            fraction = 1.0 / onep
+            lorentz, s0, s = _drive_terms(d, name, v)
+            ratio = _power_ratio(on, et, lorentz, s)
+            fraction = _coherent_fraction(s)
+            if model == "asymmetric":
+                weight = _cross_weight(on, et, coupling.omega_n_prime, coupling.eta_prime)
+                real = _real_part(lorentz, s, weight, coupling.p)
+            else:
+                # the Kerr form divides by the weak-drive (s = 0) real part
+                weight = _weight(on, et)
+                real = _real_part(lorentz, 0.0 if model == "kerr" else s, weight)
             if model == "kerr":
-                weight = 2.0 * on * _pow(et, 2.0)
-                denom = lorentz - weight
-                boundary = denom == 0.0
-                phi = np.broadcast_to(
-                    -2.0 * weight * d / np.where(boundary, 1.0, denom) * (1.0 - 1.5 * s), m)
+                boundary = real == 0.0
+                phi = np.broadcast_to(_kerr_phase(
+                    _dispersive_phase(weight, d, np.where(boundary, 1.0, real)), s), m)
                 phi_rad = phi.tolist()
                 code = np.where(boundary, 3, 0)
             else:
-                if model == "asymmetric":
-                    weight = (2.0 * np.sqrt(on * coupling.omega_n_prime)
-                              * et * coupling.eta_prime)
-                    real = math.sqrt(coupling.p) * _pow(onep, 1.5) * lorentz - weight
-                else:
-                    weight = 2.0 * on * _pow(et, 2.0)
-                    real = _pow(onep, 1.5) * lorentz - weight
                 # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
-                imag = -2.0 * weight * d + 0.0
+                imag = _imag_part(weight, d) + 0.0
                 boundary = (real == 0.0) & (imag == 0.0)
                 phi_rad = list(map(math.atan2, _each(imag, m), _each(real, m)))
                 phi = np.array(phi_rad)
@@ -424,9 +415,9 @@ def _format_value(value) -> str:
     return format(value, ".17g")
 
 
-def _json_value(value, allow_nan: bool) -> str:
+def _json_value(value) -> str:
     try:
-        return json.dumps(value, allow_nan=allow_nan)
+        return json.dumps(value, allow_nan=False)
     except ValueError:
         raise DomainError(f"JSON has no spelling for the value {value!r}") from None
 
@@ -503,16 +494,14 @@ def _write_csv(write: Callable[[str], object], chunks: Iterable[list],
         write("".join(_render(columns, _csv_placeholder, _format_value, _csv_line)))
 
 
-def _write_json(write: Callable[[str], object], chunks: Iterable[list],
-                allow_nan: bool = False) -> None:
+def _write_json(write: Callable[[str], object], chunks: Iterable[list]) -> None:
     """Write the bytes of json.dumps([row objects], indent=2) + '\\n' from
     column chunks (see _rows).  A NaN or infinite value raises DomainError
-    before its chunk is written, unless allow_nan spells it as json.dumps
-    does by default."""
-    spell = partial(_json_value, allow_nan=allow_nan)
+    before its chunk is written."""
     opening = "[\n"
     for columns in chunks:
-        write(opening + ",\n".join(_render(columns, _json_placeholder, spell, _json_object)))
+        write(opening + ",\n".join(_render(columns, _json_placeholder, _json_value,
+                                             _json_object)))
         opening = ",\n"
     write("[]\n" if opening == "[\n" else "\n]\n")
 
@@ -526,9 +515,10 @@ def rows_to_csv(rows: Sequence[ResultRow], comments: Sequence[str] = ()) -> str:
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
     """Render rows as a JSON array of row objects, byte for byte what
-    json.dumps(..., indent=2) prints, NaN and Infinity included."""
+    json.dumps(..., indent=2) prints.  The JSON is strict: a NaN or
+    infinite field raises DomainError."""
     out = io.StringIO()
-    _write_json(out.write, _row_chunks(rows), allow_nan=True)
+    _write_json(out.write, _row_chunks(rows))
     return out.getvalue()
 
 

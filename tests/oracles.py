@@ -8,18 +8,14 @@ from atomphase import (
     CSV_COLUMNS,
     DegenerateResultError,
     DipoleOrientation,
+    DomainError,
     PhaseBranch,
+    PhaseResult,
     PoleError,
     ResultRow,
     SymmetricCoupling,
-    coherent_fraction,
-    kerr_linear_phase,
-    kerr_phase,
-    phase_asymmetric,
-    phase_symmetric,
+    UndefinedRatioError,
     pupil_dipole_profile,
-    saturation_at_detuning,
-    scattered_power_ratio,
 )
 
 
@@ -57,10 +53,121 @@ def pupil_amplitude(profile, mirror):
     return profile.func
 
 
+# ------------------------------------------------------------- formulas
+# The scalar phase model spelled out literally, each function in the
+# operation order it has always had.  The library writes each expression
+# once, in helpers that the sweep kernel shares with the scalar functions;
+# these copies keep the bitwise tests from comparing those helpers with
+# themselves.  They skip the drive checks, so pass them accepted drives.
+
+def saturation_at_detuning(s0, delta):
+    return s0 / (1.0 + 4.0 * delta * delta)
+
+
+def scattered_power_ratio(omega_n, eta, delta, s0):
+    lorentz = 1.0 + 4.0 * delta * delta
+    s = s0 / lorentz
+    return 4.0 * omega_n * eta * eta / (lorentz * (1.0 + s) ** 2)
+
+
+def coherent_fraction(s):
+    return 1.0 / (1.0 + s)
+
+
+def _assemble(real, imag):
+    imag = imag + 0.0
+    if real == 0.0 and imag == 0.0:
+        raise DegenerateResultError("null field")
+    if imag == 0.0:
+        branch = PhaseBranch.PI if real < 0.0 else PhaseBranch.ZERO
+    else:
+        branch = PhaseBranch.GENERIC
+    return PhaseResult(phi=math.atan2(imag, real), branch=branch,
+                       real_part=real, imag_part=imag)
+
+
+def phase_symmetric(coupling, delta, s0):
+    lorentz = 1.0 + 4.0 * delta * delta
+    s = s0 / lorentz
+    weight = 2.0 * coupling.omega_n * coupling.eta**2
+    real = (1.0 + s) ** 1.5 * lorentz - weight
+    imag = -2.0 * weight * delta
+    return _assemble(real, imag)
+
+
+def phase_asymmetric(coupling, delta, s0):
+    if coupling.p == 0:
+        raise DomainError("p = 0")
+    lorentz = 1.0 + 4.0 * delta * delta
+    s = s0 / lorentz
+    cross = (2.0 * math.sqrt(coupling.omega_n * coupling.omega_n_prime)
+             * coupling.eta * coupling.eta_prime)
+    real = math.sqrt(coupling.p) * (1.0 + s) ** 1.5 * lorentz - cross
+    imag = -2.0 * cross * delta
+    return _assemble(real, imag)
+
+
+def resonance_branch(coupling, s0):
+    weight = 2.0 * coupling.omega_n * coupling.eta**2
+    reference = (1.0 + s0) ** 1.5
+    if weight > reference:
+        return PhaseBranch.PI
+    if weight < reference:
+        return PhaseBranch.ZERO
+    return PhaseBranch.BOUNDARY
+
+
+def critical_saturation(coupling):
+    weight = 2.0 * coupling.omega_n * coupling.eta**2
+    if weight < 1.0:
+        return None
+    return weight ** (2.0 / 3.0) - 1.0
+
+
+def dispersive_phase_arctan(coupling, delta, s0):
+    if abs(delta) < 0.5:
+        raise DomainError("|delta| < 0.5")
+    lorentz = 1.0 + 4.0 * delta * delta
+    s = s0 / lorentz
+    weight = 2.0 * coupling.omega_n * coupling.eta**2
+    numer = 2.0 * weight * delta
+    denom = (1.0 + s) ** 1.5 * lorentz - weight
+    if denom == 0.0:
+        return math.copysign(0.5 * math.pi, -numer)
+    return -math.atan(numer / denom)
+
+
+def kerr_linear_phase(coupling, delta):
+    lorentz = 1.0 + 4.0 * delta * delta
+    weight = 2.0 * coupling.omega_n * coupling.eta**2
+    denom = lorentz - weight
+    if denom == 0.0:
+        raise PoleError("pole")
+    return -2.0 * weight * delta / denom
+
+
+def kerr_phase(phi0, s):
+    return phi0 * (1.0 - 1.5 * s)
+
+
+def kerr_relative_error(coupling, delta, s):
+    lorentz = 1.0 + 4.0 * delta * delta
+    weight = 2.0 * coupling.omega_n * coupling.eta**2
+    numer = -2.0 * weight * delta
+    denom = (1.0 + s) ** 1.5 * lorentz - weight
+    if denom == 0.0:
+        raise PoleError("pole")
+    reference = numer / denom
+    if reference == 0.0:
+        raise UndefinedRatioError("zero reference")
+    approx = kerr_phase(kerr_linear_phase(coupling, delta), s)
+    return abs(reference - approx) / abs(reference)
+
+
 # --------------------------------------------------------------- sweeps
 # The per-point sweep path the columnar kernel replaced: one call of the
-# scalar phase functions per grid point.  The kernel must match it bit for
-# bit wherever it is defined.
+# formulas above per grid point.  The kernel must match it bit for bit
+# wherever it is defined.
 
 def evaluate_point(model, coupling, delta, s0, swept_value=None):
     s = saturation_at_detuning(s0, delta)

@@ -253,3 +253,32 @@ class TestCoherentFraction:
         assert coherent_fraction(0.0) == 1.0
         assert coherent_fraction(1.0) == 0.5
         np.testing.assert_allclose(coherent_fraction(9.0), 0.1, rtol=1e-15)
+
+
+class TestRejectedInputs:
+    # each returned a number or raised ZeroDivisionError or OverflowError
+    # before these functions checked their inputs
+    @pytest.mark.parametrize("func, args", [
+        (excited_state_population, (-1.0,)),
+        (excited_state_population, (math.nan,)),
+        (coherent_fraction, (-1.0,)),
+        (coherent_fraction, (math.nan,)),
+        (coherent_fraction, (math.inf,)),
+        (steady_state_coherence, (0.0, 0.0, 0.0)),
+        (steady_state_coherence, (0.0, 0.0, -1.0)),
+        (steady_state_coherence, (1e200, 0.0, 1.0)),      # rabi^2 overflows
+        (steady_state_coherence, (0.0, 1e154, 1.0)),      # 4 delta^2 overflows
+        (steady_state_coherence, (0.0, 0.0, 1e-200)),     # gamma^2 underflows to 0
+        (steady_state_coherence, (math.nan, 0.0, 1.0)),
+        (steady_state_coherence, (0.0, math.inf, 1.0)),
+        (scattered_power_ratio, (2.0, 0.5, 0.0, 0.0)),
+        (scattered_power_ratio, (math.nan, 0.5, 0.0, 0.0)),
+        (scattered_power_ratio, (0.5, -0.1, 0.0, 0.0)),
+    ])
+    def test_raises_domain_error(self, func, args):
+        with pytest.raises(DomainError):
+            func(*args)
+
+    def test_unit_interval_message(self):
+        with pytest.raises(DomainError, match=r"^omega_n must lie in \[0, 1\], got 2\.0$"):
+            scattered_power_ratio(2.0, 0.5, 0.0, 0.0)

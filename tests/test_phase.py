@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import atomphase
+import oracles
 from atomphase import (
     AsymmetricCoupling,
+    AtomPhaseError,
     DegenerateResultError,
     DomainError,
     PhaseBranch,
@@ -280,6 +285,12 @@ class TestKerr:
         np.testing.assert_allclose(kerr_phase(0.090460, 0.2), 0.063322,
                                    atol=1e-6)
 
+    @pytest.mark.parametrize("phi0, s", [
+        (math.inf, 0.1), (math.nan, 0.1), (0.1, math.inf), (0.1, math.nan), (0.1, -1.0)])
+    def test_kerr_phase_rejects(self, phi0, s):
+        with pytest.raises(DomainError):
+            kerr_phase(phi0, s)
+
     def test_relative_error_vanishes_at_zero_drive(self):
         assert kerr_relative_error(MIRROR, -10.0, 0.0) == 0.0
 
@@ -384,3 +395,55 @@ class TestScalarTotality:
     def test_non_finite_s(self, bad):
         with pytest.raises(DomainError):
             kerr_relative_error(C, 1.0, bad)
+
+
+# ------------------------------------------------- literal formulas
+unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
+detunings = st.one_of(st.floats(-60.0, 60.0), st.floats(-0.01, 0.01),
+                      st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]))
+drives = st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, THRESHOLD]))
+
+
+def outcome(func, *args):
+    """What a call gives, comparable bit for bit: its error class, or its
+    floats by float.hex with their type, or its branch or None."""
+    try:
+        value = func(*args)
+    except AtomPhaseError as exc:
+        return type(exc)
+    parts = ((value.phi, value.real_part, value.imag_part, value.branch)
+             if hasattr(value, "phi") else (value,))
+    return tuple((type(x), x.hex()) if isinstance(x, float) else x for x in parts)
+
+
+class TestLiteralFormulas:
+    """Every function whose arithmetic the sweep kernel shares gives the
+    bits of tests/oracles.py's literal spelling, and a Python float."""
+
+    @settings(max_examples=400, deadline=None)
+    # omega_n eta = 0 off resonance: the arctan form's numerator is +0.0
+    @example(omega_n=0.0, eta=1.0, primes=(1.0, 1.0, 1.0), delta=1.0, s0=0.0, s=0.0, phi0=0.0)
+    @example(omega_n=1.0, eta=1.0, primes=(1.0, 1.0, 1.0), delta=0.0, s0=THRESHOLD, s=0.0,
+             phi0=-0.0)
+    @given(omega_n=unit, eta=unit, primes=st.tuples(unit, unit, st.floats(1e-3, 1.0)),
+           delta=detunings, s0=drives, s=st.one_of(st.floats(0.0, 50.0), st.just(0.0)),
+           phi0=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0])))
+    def test_bitwise(self, omega_n, eta, primes, delta, s0, s, phi0):
+        sym = SymmetricCoupling(omega_n, eta)
+        asym = AsymmetricCoupling(omega_n, eta, *primes)
+        calls = [
+            ("phase_symmetric", (sym, delta, s0)),
+            ("phase_asymmetric", (asym, delta, s0)),
+            ("resonance_branch", (sym, s0)),
+            ("critical_saturation", (sym,)),
+            ("dispersive_phase_arctan", (sym, delta, s0)),
+            ("kerr_linear_phase", (sym, delta)),
+            ("kerr_phase", (phi0, s)),
+            ("kerr_relative_error", (sym, delta, s)),
+            ("saturation_at_detuning", (s0, delta)),
+            ("scattered_power_ratio", (omega_n, eta, delta, s0)),
+            ("coherent_fraction", (s,)),
+        ]
+        for name, args in calls:
+            assert (outcome(getattr(atomphase, name), *args)
+                    == outcome(getattr(oracles, name), *args)), name
