@@ -44,8 +44,8 @@ FULL_DIPOLE_SOLID_ANGLE = 8.0 * math.pi / 3.0
 def _require_real_positive(name: str, value) -> None:
     if isinstance(value, complex):
         raise DomainError(f"{name} must be real, got {value!r}")
-    if not value > 0:
-        raise DomainError(f"{name} must be positive, got {value!r}")
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _check_finite(name: str, value: float, non_negative: bool = False) -> None:
@@ -53,6 +53,13 @@ def _check_finite(name: str, value: float, non_negative: bool = False) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
     if non_negative and value < 0:
         raise DomainError(f"{name} must be non-negative, got {value!r}")
+
+
+def _check_finite_result(name: str, value: float) -> float:
+    """value, unless it overflowed on the way from finite inputs."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows")
+    return value
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -99,25 +106,39 @@ class AtomTransition:
     @property
     def wavelength(self) -> float:
         """Transition wavelength 2 pi c / omega0 (m)."""
-        return 2.0 * math.pi * _C / self.omega0
+        return _check_finite_result("the wavelength 2 pi c / omega0",
+                                    2.0 * math.pi * _C / self.omega0)
 
     @classmethod
     def from_dipole(cls, omega0: float, mu: float) -> "AtomTransition":
         """Build a transition whose linewidth follows from its dipole moment.
 
         gamma = omega0^3 mu^2 / (3 pi eps0 hbar c^3)
+
+        A gamma that overflows or underflows to 0 raises DomainError.
         """
         _require_real_positive("omega0", omega0)
         _require_real_positive("mu", mu)
-        gamma = omega0**3 * mu**2 / (3.0 * math.pi * _EPS0 * _HBAR * _C**3)
+        try:
+            gamma = omega0**3 * mu**2 / (3.0 * math.pi * _EPS0 * _HBAR * _C**3)
+        except OverflowError:
+            gamma = math.inf
         return cls(omega0=omega0, gamma=gamma, mu=mu)
 
     @classmethod
     def from_linewidth(cls, omega0: float, gamma: float) -> "AtomTransition":
-        """Build a transition from its measured linewidth, inferring mu."""
+        """Build a transition from its measured linewidth, inferring mu.
+
+        A mu that overflows or underflows to 0 raises DomainError.
+        """
         _require_real_positive("omega0", omega0)
         _require_real_positive("gamma", gamma)
-        mu = math.sqrt(3.0 * math.pi * _EPS0 * _HBAR * _C**3 * gamma / omega0**3)
+        try:
+            mu = math.sqrt(3.0 * math.pi * _EPS0 * _HBAR * _C**3 * gamma / omega0**3)
+        except OverflowError:       # omega0^3 overflows: mu underflows
+            mu = 0.0
+        except ZeroDivisionError:   # omega0^3 underflows: mu overflows
+            mu = math.inf
         return cls(omega0=omega0, gamma=gamma, mu=mu)
 
 
@@ -156,9 +177,11 @@ def physical_to_normalized(
         Dipole-weighted solid angle in [0, 8 pi / 3] (unnormalized).
     eta : float
         Field overlap with the dipole pattern, in [0, 1].
+
+    Raises DomainError for a non-finite or negative power, and where the
+    field, the Rabi frequency or s0 overflows.
     """
-    if power < 0:
-        raise DomainError(f"power must be non-negative, got {power!r}")
+    _check_finite("power", power, non_negative=True)
     if not 0.0 <= solid_angle <= FULL_DIPOLE_SOLID_ANGLE:
         raise DomainError(
             f"solid_angle must lie in [0, 8 pi/3], got {solid_angle!r}")
@@ -170,8 +193,14 @@ def physical_to_normalized(
         * eta
     )
     rabi = e_field * atom.mu / _HBAR
-    s0 = 2.0 * rabi**2 / atom.gamma**2
-    return NormalizedDrive(e_field=e_field, rabi=rabi, s0=s0)
+    try:
+        s0 = 2.0 * rabi**2 / atom.gamma**2
+    except OverflowError:
+        s0 = math.inf
+    except ZeroDivisionError:
+        raise DomainError(f"gamma^2 underflows at gamma={atom.gamma!r}") from None
+    return NormalizedDrive(*(_check_finite_result(name, value) for name, value in
+                             (("e_field", e_field), ("rabi", rabi), ("s0", s0))))
 
 
 def _drive_terms(delta, name: str, value):
@@ -251,7 +280,9 @@ def scattered_phase(delta: float, include_gouy: bool = False) -> float:
 
     With ``include_gouy`` the pi/2 focal phase picked up by the re-diverging
     transmitted beam is folded in, shifting the total to arctan(2 delta) + pi.
+    Raises DomainError for a non-finite delta.
     """
+    _check_finite("delta", delta)
     offset = math.pi if include_gouy else 0.5 * math.pi
     return math.atan(2.0 * delta) + offset
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .atom import _check_finite, _check_unit_interval, _drive_terms, _pow, _sqrt, detuned_drive
+from .atom import (_check_finite, _check_finite_result, _check_unit_interval, _drive_terms, _pow,
+                   _require_real_positive, _sqrt, detuned_drive)
 from .errors import (
     DegenerateResultError,
     DomainError,
@@ -104,10 +105,6 @@ class AsymmetricCoupling:
         _check_unit_interval("eta_prime", self.eta_prime)
         _check_unit_interval("p", self.p)
 
-    def symmetric(self) -> SymmetricCoupling:
-        """Focusing-side coupling, used for scattered-power bookkeeping."""
-        return SymmetricCoupling(omega_n=self.omega_n, eta=self.eta)
-
 
 @dataclass(frozen=True)
 class PhaseResult:
@@ -128,6 +125,12 @@ NULL_FIELD_MESSAGE = ("transmitted and scattered amplitudes cancel exactly; "
                       "the phase of a null field is undefined")
 KERR_POLE_MESSAGE = ("1 + 4 delta^2 - 2 omega_n eta^2 vanished; the linear phase has "
                      "a pole here")
+
+
+def _check_transmission(p: float) -> None:
+    """The asymmetric phase's rule for p, shared with the sweep kernel."""
+    if p == 0:
+        raise DomainError("p must be positive for a defined phase")
 
 
 def _weight(omega_n, eta):
@@ -190,8 +193,7 @@ def phase_asymmetric(coupling: AsymmetricCoupling, delta: float, s0: float) -> P
               - 4 i sqrt(omega_n omega_n') eta eta' delta]
     """
     lorentz, s = detuned_drive(delta, s0)
-    if coupling.p == 0:
-        raise DomainError("p must be positive for a defined phase")
+    _check_transmission(coupling.p)
     cross = _cross_weight(coupling.omega_n, coupling.eta,
                           coupling.omega_n_prime, coupling.eta_prime)
     return _assemble(_real_part(lorentz, s, cross, coupling.p), _imag_part(cross, delta))
@@ -266,11 +268,12 @@ def kerr_linear_phase(coupling: SymmetricCoupling, delta: float) -> float:
 def kerr_phase(phi0: float, s: float) -> float:
     """Intensity-corrected phase phi0 (1 - 3 s / 2).
 
-    Raises DomainError for a non-finite phi0 or a non-finite or negative s.
+    Raises DomainError for a non-finite phi0, a non-finite or negative s,
+    or a product that overflows.
     """
     _check_finite("phi0", phi0)
     _check_finite("s", s, non_negative=True)
-    return _kerr_phase(phi0, s)
+    return _check_finite_result("phi0 (1 - 3 s / 2)", _kerr_phase(phi0, s))
 
 
 def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> float:
@@ -307,9 +310,10 @@ def repeater_margin(phi: float, coherent_amplitude: float) -> float:
 
     |phi| sqrt(amplitude), against an uncertainty of amplitude^(-1/2) for a
     large-amplitude coherent state.  Values above 1 mean the imprinted shift
-    is resolvable in a single shot.
+    is resolvable in a single shot.  Raises DomainError for a non-finite
+    input, an amplitude that is not positive, or a product that overflows.
     """
-    if coherent_amplitude <= 0:
-        raise DomainError(
-            f"coherent_amplitude must be positive, got {coherent_amplitude!r}")
-    return abs(phi) * math.sqrt(coherent_amplitude)
+    _check_finite("phi", phi)
+    _require_real_positive("coherent_amplitude", coherent_amplitude)
+    return _check_finite_result("|phi| sqrt(coherent_amplitude)",
+                                abs(phi) * math.sqrt(coherent_amplitude))

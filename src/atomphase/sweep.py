@@ -6,11 +6,14 @@ Degenerate grid points (where the phase is undefined) become flagged rows
 with empty phase fields instead of aborting a scan.  CSV output is fully
 deterministic: fixed column order, 17 significant digits, '\\n' endings.
 
-A sweep makes two passes over its grid, in chunks of a fixed number of
-rows.  The first checks every point, so a sweep that fails writes
-nothing; the second computes each chunk's columns, renders them as CSV
-or JSON and drops them, so memory does not grow with the grid beyond the
-grid itself (8 bytes a point).  The columns are bit-identical to
+``write_sweep`` is the streaming entry point, and the CLI's ``sweep`` and
+``figures`` commands call it.  It makes two passes over the grid, in
+chunks of a fixed number of rows.  The first checks every point, so a
+sweep that fails writes nothing; the second computes each chunk's
+columns, renders them as CSV or JSON and drops them, so memory does not
+grow with the grid beyond the grid itself (8 bytes a point).
+``run_sweep``, ``rows_to_csv`` and ``rows_to_json`` build the whole
+result in memory instead.  The columns are bit-identical to
 evaluating the scalar functions of :mod:`atomphase.phase` point by point
 by construction: the kernel computes every column through the private
 helpers of :mod:`atomphase.atom` and :mod:`atomphase.phase` that those
@@ -42,6 +45,7 @@ from .phase import (
     AsymmetricCoupling,
     PhaseBranch,
     SymmetricCoupling,
+    _check_transmission,
     _cross_weight,
     _dispersive_phase,
     _imag_part,
@@ -67,6 +71,7 @@ __all__ = [
     "row_to_dict",
     "rows_to_csv",
     "rows_to_json",
+    "write_sweep",
 ]
 
 MODELS = ("symmetric", "asymmetric", "kerr")
@@ -247,8 +252,8 @@ def _rows(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple[s
     """
     n = len(swept)
     _validate(delta, drive, n)
-    if model == "asymmetric" and coupling.p == 0:
-        raise DomainError("p must be positive for a defined phase")
+    if model == "asymmetric":
+        _check_transmission(coupling.p)
     return _chunks(model, coupling, swept, delta, drive, omega_n, eta, n)
 
 
@@ -369,10 +374,10 @@ def evaluate_point(
     coupling: Coupling,
     delta: float,
     s0: float,
-    swept_value: Optional[float] = None,
     degenerate_ok: bool = True,
 ) -> ResultRow:
-    """Evaluate one (delta, s0) point of the given model.
+    """Evaluate one (delta, s0) point of the given model; the row's
+    swept_value is None.
 
     Degenerate points (undefined phase, Kerr pole) become rows with branch
     'boundary' and empty phase fields; pass degenerate_ok=False to raise
@@ -381,7 +386,7 @@ def evaluate_point(
     """
     _check_model_coupling(model, coupling)
     row = ResultRow(*next(_tuples(_rows(
-        model, coupling, [swept_value], np.array([delta], dtype=float),
+        model, coupling, [None], np.array([delta], dtype=float),
         ("s0", np.array([s0], dtype=float)), coupling.omega_n, coupling.eta))))
     if row.branch == PhaseBranch.BOUNDARY.value and not degenerate_ok:
         if model == "kerr":
@@ -520,6 +525,27 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
     out = io.StringIO()
     _write_json(out.write, _row_chunks(rows))
     return out.getvalue()
+
+
+def write_sweep(spec: SweepSpec, write: Callable[[str], object], format: str = "csv",
+                comments: Sequence[str] = ()) -> None:
+    """Stream the sweep's rows to ``write`` as CSV or strict JSON.
+
+    Every point is checked before the first call to ``write``, so a sweep
+    that fails writes nothing; the rows are then computed, rendered and
+    written chunk by chunk.  CSV starts with one '#' line per comment.
+    JSON has no comments: comments with format "json" raise DomainError,
+    as does a NaN or infinite value, before its chunk is written.
+    """
+    if format not in ("csv", "json"):
+        raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
+    if format == "json" and comments:
+        raise DomainError("JSON output cannot carry comments")
+    chunks = _sweep_rows(spec)
+    if format == "json":
+        _write_json(write, chunks)
+    else:
+        _write_csv(write, chunks, comments)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from atomphase import (
     PhaseResult,
     PoleError,
     ResultRow,
-    SymmetricCoupling,
     UndefinedRatioError,
     pupil_dipole_profile,
 )
@@ -171,8 +170,7 @@ def kerr_relative_error(coupling, delta, s):
 
 def evaluate_point(model, coupling, delta, s0, swept_value=None):
     s = saturation_at_detuning(s0, delta)
-    focusing = coupling if isinstance(coupling, SymmetricCoupling) else coupling.symmetric()
-    ratio = scattered_power_ratio(focusing.omega_n, focusing.eta, delta, s0)
+    ratio = scattered_power_ratio(coupling.omega_n, coupling.eta, delta, s0)
     fraction = coherent_fraction(s)
     try:
         if model == "symmetric":
@@ -182,7 +180,7 @@ def evaluate_point(model, coupling, delta, s0, swept_value=None):
             result = phase_asymmetric(coupling, delta, s0)
             phi, branch = result.phi, result.branch
         else:
-            phi = kerr_phase(kerr_linear_phase(focusing, delta), s)
+            phi = kerr_phase(kerr_linear_phase(coupling, delta), s)
             branch = PhaseBranch.GENERIC
     except (DegenerateResultError, PoleError):
         phi, branch = None, PhaseBranch.BOUNDARY

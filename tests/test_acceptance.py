@@ -249,16 +249,14 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
                        - saturation_at_detuning(s0, delta)) < 1e-12
             if model == "asymmetric":
                 expected = phase_asymmetric(coupling, delta, s0)
-                base = coupling.symmetric()
             else:
                 expected = phase_symmetric(coupling, delta, s0)
-                base = coupling
             assert abs(float(row["phi_rad"]) - expected.phi) < 1e-12
             assert abs(float(row["phi_deg"])
                        - math.degrees(expected.phi)) < 1e-12
             assert row["branch"] == expected.branch.value
             assert abs(float(row["p_sc_over_p"]) - scattered_power_ratio(
-                base.omega_n, base.eta, delta, s0)) < 1e-12
+                coupling.omega_n, coupling.eta, delta, s0)) < 1e-12
             checked += 1
     assert checked == 4 * 501
     report(9, "repeated fig2 emission is byte-identical and all "

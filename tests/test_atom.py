@@ -2,21 +2,27 @@
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c, epsilon_0, hbar
 from scipy.optimize import minimize_scalar
 
 from atomphase import (
     FULL_DIPOLE_SOLID_ANGLE,
+    AtomPhaseError,
     AtomTransition,
     DomainError,
     SymmetricCoupling,
     coherent_fraction,
     evaluate_point,
     excited_state_population,
+    kerr_phase,
     physical_to_normalized,
+    repeater_margin,
     saturation_at_detuning,
     scattered_phase,
     scattered_power_ratio,
@@ -279,6 +285,57 @@ class TestRejectedInputs:
         with pytest.raises(DomainError):
             func(*args)
 
+    # each returned 0, NaN or an infinity, or raised OverflowError, before
+    # these functions checked their inputs and results
+    @pytest.mark.parametrize("call", [
+        lambda: AtomTransition(math.inf, 1.0, 1.0),
+        lambda: AtomTransition.from_dipole(1e300, 1e-29),
+        lambda: AtomTransition.from_linewidth(1e300, 1.0),
+        lambda: physical_to_normalized(math.nan, AtomTransition(1.0, 1.0, 1.0), 1.0, 1.0),
+        lambda: physical_to_normalized(math.inf, AtomTransition(1.0, 1.0, 1.0), 1.0, 1.0),
+    ], ids=["inf-omega0", "dipole-overflow", "linewidth-overflow", "nan-power", "inf-power"])
+    def test_non_finite_value_is_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
     def test_unit_interval_message(self):
         with pytest.raises(DomainError, match=r"^omega_n must lie in \[0, 1\], got 2\.0$"):
             scattered_power_ratio(2.0, 0.5, 0.0, 0.0)
+
+
+# every float, with the extremes hypothesis may not reach on its own
+anything = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-308, 1e308, -1e308, 0.0, -0.0]))
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _transition(make, *args):
+    atom = make(*args)
+    return atom.wavelength, atom.gamma, atom.mu
+
+
+TOTAL = {
+    "AtomTransition": (partial(_transition, AtomTransition), (anything,) * 3),
+    "from_dipole": (partial(_transition, AtomTransition.from_dipole), (anything,) * 2),
+    "from_linewidth": (partial(_transition, AtomTransition.from_linewidth), (anything,) * 2),
+    "physical_to_normalized": (physical_to_normalized, (
+        anything, st.builds(AtomTransition, positive, positive, positive), anything, anything)),
+    "scattered_phase": (scattered_phase, (anything, st.booleans())),
+    "kerr_phase": (kerr_phase, (anything, anything)),
+    "repeater_margin": (repeater_margin, (anything, anything)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOTAL))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_finite_or_refused(name, data):
+    """A finite value, or an AtomPhaseError subclass, for every float."""
+    func, strategies = TOTAL[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    try:
+        value = func(*args)
+    except AtomPhaseError:
+        return
+    values = value if isinstance(value, tuple) else (value,)
+    assert all(map(math.isfinite, values)), (args, value)

@@ -5,18 +5,23 @@ import math
 import subprocess
 import sys
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from atomphase import (
+    AsymmetricCoupling,
     ConeAperture,
     DipoleOrientation,
+    DomainError,
     ParabolicMirror,
     SymmetricCoupling,
     cone_weighted_solid_angle,
+    evaluate_point,
     mirror_weighted_solid_angle,
+    phase_asymmetric,
     phase_symmetric,
 )
 from atomphase.cli import main
@@ -277,13 +282,29 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_zero_p_reports_the_library_message(self, capsys, tmp_path):
+        coupling = {"omega_n": 0.9, "eta": 0.9, "omega_n_prime": 0.9, "eta_prime": 0.9,
+                    "p": 0.0}
+        path = self.config(tmp_path, {
+            "model": "asymmetric", "coupling": coupling,
+            "sweep": {"var": "delta", "start": -1, "stop": 1, "count": 3},
+            "fixed": {"s0": 0.1}})
+        code, out, err = run_cli(capsys, "sweep", "--config", path)
+        messages = {err}
+        for call in (phase_asymmetric, partial(evaluate_point, "asymmetric")):
+            with pytest.raises(DomainError) as info:
+                call(AsymmetricCoupling(**coupling), -1.0, 0.1)
+            messages.add(f"error: {info.value}\n")
+        assert code == 1 and out == ""
+        assert messages == {"error: p must be positive for a defined phase\n"}
+
     def test_too_many_points_is_config_error(self, capsys, tmp_path):
         path = self.config(tmp_path, {
             "model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
             "sweep": {"var": "delta", "start": -5, "stop": 0, "count": 10**12},
             "fixed": {"s0": 0.0}})
         # refused while the config is read: no grid is ever built
-        with mock.patch("atomphase.cli._sweep_rows", side_effect=AssertionError):
+        with mock.patch("atomphase.cli.write_sweep", side_effect=AssertionError):
             code, out, err = run_cli(capsys, "sweep", "--config", path)
         assert code == 2
         assert out == ""

@@ -32,6 +32,7 @@ from atomphase import (
     resonance_branch,
     run_sweep,
     saturation_at_detuning,
+    scattered_phase,
     scattered_power_ratio,
 )
 
@@ -395,6 +396,19 @@ class TestScalarTotality:
     def test_non_finite_s(self, bad):
         with pytest.raises(DomainError):
             kerr_relative_error(C, 1.0, bad)
+
+    # each returned a NaN or an infinity before these functions checked
+    # their inputs and results
+    @pytest.mark.parametrize("func, args", [
+        (kerr_phase, (1e308, 1e308)),
+        (scattered_phase, (math.nan,)),
+        (repeater_margin, (math.nan, 1.0)),
+        (repeater_margin, (1.0, math.inf)),
+        (repeater_margin, (1e308, 1e308)),
+    ], ids=["kerr-overflow", "scattered-nan", "margin-nan", "margin-inf", "margin-overflow"])
+    def test_non_finite_value_is_domain_error(self, func, args):
+        with pytest.raises(DomainError):
+            func(*args)
 
 
 # ------------------------------------------------- literal formulas

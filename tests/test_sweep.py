@@ -30,6 +30,7 @@ from atomphase import (
     rows_to_json,
     run_sweep,
     saturation_at_detuning,
+    write_sweep,
 )
 from atomphase import sweep
 from atomphase.sweep import CSV_COLUMNS
@@ -341,10 +342,10 @@ class TestEvaluatePoint:
 # ------------------------------------------------- columnar kernel vs oracle
 
 def streamed(spec):
-    """The CLI's bytes for a sweep: the kernel's chunks through each writer."""
+    """The CLI's bytes for a sweep: write_sweep in each format."""
     csv_out, json_out = io.StringIO(), io.StringIO()
-    sweep._write_csv(csv_out.write, sweep._sweep_rows(spec))
-    sweep._write_json(json_out.write, sweep._sweep_rows(spec))
+    write_sweep(spec, csv_out.write)
+    write_sweep(spec, json_out.write, "json")
     return csv_out.getvalue(), json_out.getvalue()
 
 
@@ -353,6 +354,31 @@ def assert_streams_match_oracle(spec):
     csv_text, json_text = streamed(spec)
     assert csv_text == oracles.rows_to_csv(expected)
     assert json_text == oracles.rows_to_json(expected)
+
+
+class TestWriteSweep:
+    def test_csv_comments_lead_the_rows(self):
+        spec = spec_delta(count=5, s0=0.3)
+        out = io.StringIO()
+        write_sweep(spec, out.write, comments=("a", "b"))
+        assert out.getvalue() == rows_to_csv(run_sweep(spec), ("a", "b"))
+        assert out.getvalue().startswith("# a\n# b\nswept_value,")
+
+    @pytest.mark.parametrize("format, comments", [("json", ("note",)), ("xml", ())])
+    def test_rejected_before_a_byte(self, format, comments):
+        written = []
+        with pytest.raises(DomainError):
+            write_sweep(spec_delta(count=5), written.append, format, comments)
+        assert written == []
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_failing_point_writes_nothing(self, format):
+        # 1 + 4 delta^2 overflows only in the last chunk
+        spec = spec_delta(start=0.0, stop=1e200, count=3 * sweep._CHUNK_ROWS)
+        written = []
+        with pytest.raises(DomainError, match="too large"):
+            write_sweep(spec, written.append, format)
+        assert written == []
 
 
 def same_bits(a, b):
