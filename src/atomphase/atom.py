@@ -20,39 +20,21 @@ from itertools import repeat
 from typing import NamedTuple, Tuple
 
 import numpy as np
-from scipy.constants import c as _C, epsilon_0 as _EPS0, hbar as _HBAR
 
-from .errors import DomainError
+from . import _EXPORTS
+from .errors import DomainError, _check_real
 
-__all__ = [
-    "FULL_DIPOLE_SOLID_ANGLE",
-    "AtomTransition",
-    "NormalizedDrive",
-    "physical_to_normalized",
-    "saturation_at_detuning",
-    "excited_state_population",
-    "steady_state_coherence",
-    "scattered_phase",
-    "scattered_power_ratio",
-    "coherent_fraction",
-]
+__all__ = list(_EXPORTS["atom"])
+
+# CODATA 2022, as the floats of scipy.constants (which this module does not
+# import): the speed of light (m/s), the reduced Planck constant (J s) and
+# the vacuum permittivity (F/m).
+_C = 299792458.0
+_HBAR = 1.0545718176461565e-34
+_EPS0 = 8.8541878188e-12
 
 # Full-sphere integral of the dipole intensity pattern sin^2(Theta).
 FULL_DIPOLE_SOLID_ANGLE = 8.0 * math.pi / 3.0
-
-
-def _require_real_positive(name: str, value) -> None:
-    if isinstance(value, complex):
-        raise DomainError(f"{name} must be real, got {value!r}")
-    if not 0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_finite(name: str, value: float, non_negative: bool = False) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    if non_negative and value < 0:
-        raise DomainError(f"{name} must be non-negative, got {value!r}")
 
 
 def _check_finite_result(name: str, value: float) -> float:
@@ -60,11 +42,6 @@ def _check_finite_result(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} overflows")
     return value
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _pow(base, exponent: float):
@@ -99,9 +76,9 @@ class AtomTransition:
     mu: float
 
     def __post_init__(self) -> None:
-        _require_real_positive("omega0", self.omega0)
-        _require_real_positive("gamma", self.gamma)
-        _require_real_positive("mu", self.mu)
+        _check_real("omega0", self.omega0, positive=True)
+        _check_real("gamma", self.gamma, positive=True)
+        _check_real("mu", self.mu, positive=True)
 
     @property
     def wavelength(self) -> float:
@@ -117,8 +94,8 @@ class AtomTransition:
 
         A gamma that overflows or underflows to 0 raises DomainError.
         """
-        _require_real_positive("omega0", omega0)
-        _require_real_positive("mu", mu)
+        _check_real("omega0", omega0, positive=True)
+        _check_real("mu", mu, positive=True)
         try:
             gamma = omega0**3 * mu**2 / (3.0 * math.pi * _EPS0 * _HBAR * _C**3)
         except OverflowError:
@@ -131,8 +108,8 @@ class AtomTransition:
 
         A mu that overflows or underflows to 0 raises DomainError.
         """
-        _require_real_positive("omega0", omega0)
-        _require_real_positive("gamma", gamma)
+        _check_real("omega0", omega0, positive=True)
+        _check_real("gamma", gamma, positive=True)
         try:
             mu = math.sqrt(3.0 * math.pi * _EPS0 * _HBAR * _C**3 * gamma / omega0**3)
         except OverflowError:       # omega0^3 overflows: mu underflows
@@ -181,11 +158,12 @@ def physical_to_normalized(
     Raises DomainError for a non-finite or negative power, and where the
     field, the Rabi frequency or s0 overflows.
     """
-    _check_finite("power", power, non_negative=True)
+    _check_real("power", power, lo=0.0)
+    _check_real("solid_angle", solid_angle)
     if not 0.0 <= solid_angle <= FULL_DIPOLE_SOLID_ANGLE:
         raise DomainError(
             f"solid_angle must lie in [0, 8 pi/3], got {solid_angle!r}")
-    _check_unit_interval("eta", eta)
+    _check_real("eta", eta, 0.0, 1.0)
     e_field = (
         math.sqrt(2.0 * power)
         / (atom.wavelength * math.sqrt(_EPS0 * _C))
@@ -203,10 +181,14 @@ def physical_to_normalized(
                              (("e_field", e_field), ("rabi", rabi), ("s0", s0))))
 
 
+def _lorentz(delta):
+    return 1.0 + 4.0 * delta * delta
+
+
 def _drive_terms(delta, name: str, value):
     """(1 + 4 delta^2, s0, s) of a drive given as s0 or as s (name "s0" or
     "s"); a fixed s is converted per point via s0 = s (1 + 4 delta^2)."""
-    lorentz = 1.0 + 4.0 * delta * delta
+    lorentz = _lorentz(delta)
     s0 = value * lorentz if name == "s" else value
     return lorentz, s0, s0 / lorentz
 
@@ -215,16 +197,17 @@ def detuned_drive(delta: float, s0: float) -> Tuple[float, float]:
     """(1 + 4 delta^2, s) for an accepted drive: the drive rules of every
     scalar function and of the sweep kernel.
 
-    Raises DomainError when delta or s0 is not finite, s0 is negative,
-    1 + 4 delta^2 overflows or (1 + s)^2 overflows.
+    Raises DomainError when delta or s0 is not a finite real number, s0 is
+    negative, 1 + 4 delta^2 overflows or (1 + s)^2 overflows, checked in
+    that order and each before any arithmetic on its input.
     """
-    if not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta!r}")
-    lorentz, _, s = _drive_terms(delta, "s0", s0)
+    _check_real("delta", delta)
+    lorentz = _lorentz(delta)
     if lorentz == math.inf:
         raise DomainError(
             f"|delta| is too large: 1 + 4 delta^2 overflows at delta={delta!r}")
-    _check_finite("s0", s0, non_negative=True)
+    _check_real("s0", s0, lo=0.0)
+    s = s0 / lorentz
     try:
         math.pow(1.0 + s, 2.0)
     except OverflowError:
@@ -247,7 +230,7 @@ def excited_state_population(s: float) -> float:
     Monotone in s and bounded by the fully saturated value 1/2.  Raises
     DomainError for a non-finite or negative s.
     """
-    _check_finite("s", s, non_negative=True)
+    _check_real("s", s, lo=0.0)
     return 0.5 * s / (1.0 + s)
 
 
@@ -261,9 +244,9 @@ def steady_state_coherence(rabi: float, delta_abs: float, gamma: float) -> compl
     Raises DomainError for a non-finite input, a gamma that is not positive,
     or a denominator that overflows or underflows to zero.
     """
-    for name, value in (("rabi", rabi), ("delta_abs", delta_abs), ("gamma", gamma)):
-        _check_finite(name, value)
-    _require_real_positive("gamma", gamma)
+    _check_real("rabi", rabi)
+    _check_real("delta_abs", delta_abs)
+    _check_real("gamma", gamma, positive=True)
     try:
         denom = 4.0 * delta_abs**2 + gamma**2 + 2.0 * rabi**2
     except OverflowError:
@@ -282,7 +265,7 @@ def scattered_phase(delta: float, include_gouy: bool = False) -> float:
     transmitted beam is folded in, shifting the total to arctan(2 delta) + pi.
     Raises DomainError for a non-finite delta.
     """
-    _check_finite("delta", delta)
+    _check_real("delta", delta)
     offset = math.pi if include_gouy else 0.5 * math.pi
     return math.atan(2.0 * delta) + offset
 
@@ -296,8 +279,8 @@ def scattered_power_ratio(omega_n: float, eta: float, delta: float, s0: float) -
     Rejects an omega_n or eta outside [0, 1] and the drives that
     ``saturation_at_detuning`` rejects.
     """
-    _check_unit_interval("omega_n", omega_n)
-    _check_unit_interval("eta", eta)
+    _check_real("omega_n", omega_n, 0.0, 1.0)
+    _check_real("eta", eta, 0.0, 1.0)
     return _power_ratio(omega_n, eta, *detuned_drive(delta, s0))
 
 
@@ -310,7 +293,7 @@ def coherent_fraction(s: float) -> float:
 
     Raises DomainError for a non-finite or negative s.
     """
-    _check_finite("s", s, non_negative=True)
+    _check_real("s", s, lo=0.0)
     return _coherent_fraction(s)
 
 

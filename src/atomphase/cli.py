@@ -18,8 +18,6 @@ import sys
 from typing import List, Optional
 
 from .errors import AtomPhaseError, DomainError
-# phase (through atom: numpy, scipy.constants) loads before geometry's
-# scipy.integrate: the other order costs about 4% more import CPU time
 from .phase import AsymmetricCoupling, SymmetricCoupling
 from .geometry import (
     BeamProfile,

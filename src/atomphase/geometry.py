@@ -50,24 +50,10 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from scipy.integrate import quad
 
-from .errors import DegenerateResultError, DomainError
+from . import _EXPORTS
+from .errors import DegenerateResultError, DomainError, _check_real
 
-__all__ = [
-    "DipoleOrientation",
-    "ConeAperture",
-    "ParabolicMirror",
-    "BeamProfile",
-    "RayMapping",
-    "Recollimation",
-    "WaistOptimum",
-    "cone_weighted_solid_angle",
-    "parabola_ray_map",
-    "mirror_weighted_solid_angle",
-    "pupil_dipole_profile",
-    "overlap_eta",
-    "recollimation_parameters",
-    "optimize_waist",
-]
+__all__ = list(_EXPORTS["geometry"])
 
 # Purely relative: a custom profile whose values are tiny still gets full
 # accuracy, and an identically zero integrand integrates to exactly 0.
@@ -93,6 +79,7 @@ class ConeAperture:
     orientation: DipoleOrientation
 
     def __post_init__(self) -> None:
+        _check_real("half_angle", self.half_angle)
         if not 0.0 < self.half_angle <= math.pi:
             raise DomainError(
                 f"half_angle must lie in (0, pi], got {self.half_angle!r}")
@@ -110,13 +97,9 @@ class ParabolicMirror:
     hole_radius: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.focal_length) and self.focal_length > 0):
-            raise DomainError(
-                f"focal_length must be positive and finite, got {self.focal_length!r}")
-        if not (math.isfinite(self.aperture_radius) and self.aperture_radius > 0):
-            raise DomainError(
-                "aperture_radius must be positive and finite, got "
-                f"{self.aperture_radius!r}")
+        _check_real("focal_length", self.focal_length, positive=True)
+        _check_real("aperture_radius", self.aperture_radius, positive=True)
+        _check_real("hole_radius", self.hole_radius)
         if not 0.0 <= self.hole_radius < self.aperture_radius:
             raise DomainError(
                 "hole_radius must satisfy 0 <= hole < aperture_radius, got "
@@ -162,8 +145,7 @@ def parabola_ray_map(d: float, mirror: ParabolicMirror) -> RayMapping:
     the mirror at d' = 4 f^2 / d, an involution exchanging the inner and
     outer pupil.
     """
-    if not (d > 0 and math.isfinite(d)):
-        raise DomainError(f"pupil radius must be positive and finite, got {d!r}")
+    _check_real("pupil radius", d, positive=True)
     f = mirror.focal_length
     # d' = 4 f^2 / d, ordered so that f^2 is never formed and nothing is
     # divided by a u = d / 2f that underflowed to 0
@@ -209,9 +191,10 @@ def pupil_dipole_profile(d: float, mirror: ParabolicMirror) -> float:
     map, so the pupil image carries the far-field energy distribution.
     Vanishes toward both the vertex and the rim.
     """
-    if not (d > 0 and math.isfinite(d)):
-        raise DomainError(f"pupil radius must be positive and finite, got {d!r}")
-    return _pupil_dipole(0.5 * d / mirror.focal_length)
+    _check_real("pupil radius", d, positive=True)
+    u = 0.5 * d / mirror.focal_length
+    # once u^2 overflows, the amplitude (about 2 / u^3) underflows to 0
+    return _pupil_dipole(u) if u * u < math.inf else 0.0
 
 
 @dataclass(frozen=True)
@@ -233,10 +216,8 @@ class BeamProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("flattop", "doughnut", "matched", "custom"):
             raise DomainError(f"unknown beam profile kind {self.kind!r}")
-        if self.kind == "doughnut" and not (
-                self.waist is not None and math.isfinite(self.waist) and self.waist > 0):
-            raise DomainError(
-                f"doughnut waist must be positive and finite, got {self.waist!r}")
+        if self.kind == "doughnut":
+            _check_real("doughnut waist", self.waist, positive=True)
         if self.kind == "custom" and not callable(self.func):
             raise DomainError("custom profile requires a callable amplitude")
 
@@ -707,10 +688,13 @@ def overlap_eta(
         Integration bounds overriding the geometry's illuminated region:
         pupil radii for mirrors, polar angles for cones.
     """
+    if region is not None:
+        _check_real("region start", region[0])
+        _check_real("region end", region[1])
     if isinstance(geometry, ParabolicMirror):
         lo, hi = region if region is not None else (
             geometry.hole_radius, geometry.aperture_radius)
-        if not (0.0 <= lo < hi and math.isfinite(hi)):
+        if not 0.0 <= lo < hi:
             raise DomainError(
                 "pupil region must satisfy 0 <= lo < hi < inf, got "
                 f"({lo!r}, {hi!r})")
@@ -899,11 +883,12 @@ def optimize_waist(
         family = BeamProfile.doughnut
     f = mirror.focal_length
     lo, hi = bracket if bracket is not None else (0.1 * f, 20.0 * f)
-    if not (0.0 < lo < hi and math.isfinite(hi)):
+    _check_real("bracket start", lo)
+    _check_real("bracket end", hi)
+    if not 0.0 < lo < hi:
         raise DomainError(
             f"bracket must satisfy 0 < lo < hi < inf, got ({lo!r}, {hi!r})")
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    _check_real("rel_tol", rel_tol, positive=True)
 
     def score(w: float) -> float:
         return overlap_eta(family(w), mirror)

@@ -30,30 +30,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .atom import (_check_finite, _check_finite_result, _check_unit_interval, _drive_terms, _pow,
-                   _require_real_positive, _sqrt, detuned_drive)
+from . import _EXPORTS
+from .atom import _check_finite_result, _drive_terms, _pow, _sqrt, detuned_drive
 from .errors import (
     DegenerateResultError,
     DomainError,
     PoleError,
     UndefinedRatioError,
+    _check_real,
 )
 
-__all__ = [
-    "PhaseBranch",
-    "SymmetricCoupling",
-    "AsymmetricCoupling",
-    "PhaseResult",
-    "phase_symmetric",
-    "phase_asymmetric",
-    "resonance_branch",
-    "critical_saturation",
-    "dispersive_phase_arctan",
-    "kerr_linear_phase",
-    "kerr_phase",
-    "kerr_relative_error",
-    "repeater_margin",
-]
+__all__ = list(_EXPORTS["phase"])
 
 
 class PhaseBranch(Enum):
@@ -78,8 +65,8 @@ class SymmetricCoupling:
     eta: float
 
     def __post_init__(self) -> None:
-        _check_unit_interval("omega_n", self.omega_n)
-        _check_unit_interval("eta", self.eta)
+        _check_real("omega_n", self.omega_n, 0.0, 1.0)
+        _check_real("eta", self.eta, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,11 +86,8 @@ class AsymmetricCoupling:
     p: float
 
     def __post_init__(self) -> None:
-        _check_unit_interval("omega_n", self.omega_n)
-        _check_unit_interval("eta", self.eta)
-        _check_unit_interval("omega_n_prime", self.omega_n_prime)
-        _check_unit_interval("eta_prime", self.eta_prime)
-        _check_unit_interval("p", self.p)
+        for field in ("omega_n", "eta", "omega_n_prime", "eta_prime", "p"):
+            _check_real(field, getattr(self, field), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -238,10 +222,10 @@ def dispersive_phase_arctan(coupling: SymmetricCoupling, delta: float, s0: float
     branch, so smaller detunings raise DomainError.  A vanishing denominator
     yields the signed limit of +-pi/2.
     """
+    lorentz, s = detuned_drive(delta, s0)
     if abs(delta) < 0.5:
         raise DomainError(
             f"the arctan form requires |delta| >= 0.5, got {delta!r}")
-    lorentz, s = detuned_drive(delta, s0)
     weight = _weight(coupling.omega_n, coupling.eta)
     real = _real_part(lorentz, s, weight)
     if real == 0.0:
@@ -271,8 +255,8 @@ def kerr_phase(phi0: float, s: float) -> float:
     Raises DomainError for a non-finite phi0, a non-finite or negative s,
     or a product that overflows.
     """
-    _check_finite("phi0", phi0)
-    _check_finite("s", s, non_negative=True)
+    _check_real("phi0", phi0)
+    _check_real("s", s, lo=0.0)
     return _check_finite_result("phi0 (1 - 3 s / 2)", _kerr_phase(phi0, s))
 
 
@@ -290,7 +274,8 @@ def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> 
     UndefinedRatioError when the reference phase is zero and PoleError when
     either denominator vanishes.
     """
-    _check_finite("s", s, non_negative=True)
+    _check_real("s", s, lo=0.0)
+    _check_real("delta", delta)
     # checked as the sweep checks a fixed s: through s0 = s (1 + 4 delta^2)
     lorentz, _ = detuned_drive(delta, _drive_terms(delta, "s", s)[1])
     weight = _weight(coupling.omega_n, coupling.eta)
@@ -313,7 +298,7 @@ def repeater_margin(phi: float, coherent_amplitude: float) -> float:
     is resolvable in a single shot.  Raises DomainError for a non-finite
     input, an amplitude that is not positive, or a product that overflows.
     """
-    _check_finite("phi", phi)
-    _require_real_positive("coherent_amplitude", coherent_amplitude)
+    _check_real("phi", phi)
+    _check_real("coherent_amplitude", coherent_amplitude, positive=True)
     return _check_finite_result("|phi| sqrt(coherent_amplitude)",
                                 abs(phi) * math.sqrt(coherent_amplitude))

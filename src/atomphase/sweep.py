@@ -37,8 +37,9 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .atom import _coherent_fraction, _drive_terms, _power_ratio, detuned_drive
-from .errors import DegenerateResultError, DomainError, PoleError
+from .errors import DegenerateResultError, DomainError, PoleError, _check_real
 from .phase import (
     KERR_POLE_MESSAGE,
     NULL_FIELD_MESSAGE,
@@ -54,25 +55,7 @@ from .phase import (
     _weight,
 )
 
-__all__ = [
-    "MODELS",
-    "SWEEP_VARIABLES",
-    "CSV_COLUMNS",
-    "FIGURE_PRESETS",
-    "MAX_COUNT",
-    "SweepRange",
-    "SweepSpec",
-    "ResultRow",
-    "FigureSeries",
-    "FigurePreset",
-    "evaluate_point",
-    "run_sweep",
-    "figure_preset",
-    "row_to_dict",
-    "rows_to_csv",
-    "rows_to_json",
-    "write_sweep",
-]
+__all__ = list(_EXPORTS["sweep"])
 
 MODELS = ("symmetric", "asymmetric", "kerr")
 SWEEP_VARIABLES = ("delta", "s0", "s", "omega_n", "eta")
@@ -97,9 +80,8 @@ class SweepRange:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise DomainError(
-                f"start and stop must be finite, got {self.start!r} and {self.stop!r}")
+        _check_real("start", self.start)
+        _check_real("stop", self.stop)
         try:
             count = index(self.count)
         except TypeError:
@@ -114,7 +96,8 @@ class SweepRange:
                 f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and not (self.start > 0 and self.stop > 0):
             raise DomainError("log spacing requires positive endpoints")
-        if self.spacing == "linear" and math.isinf(self.stop - self.start):
+        # in floats: two ints in the float range may differ by more than it
+        if self.spacing == "linear" and math.isinf(float(self.stop) - float(self.start)):
             raise DomainError(
                 f"linear range from {self.start!r} to {self.stop!r} is wider than "
                 "the floating-point range")
@@ -124,7 +107,7 @@ class SweepRange:
         return self._array().tolist()
 
     def _array(self) -> np.ndarray:
-        lo, hi = sorted((self.start, self.stop))
+        lo, hi = sorted((float(self.start), float(self.stop)))
         if self.spacing == "log":
             return np.geomspace(lo, hi, self.count)
         # at the edge of the float range (hi - lo) / (count - 1) * (count - 1)
@@ -159,8 +142,7 @@ class SweepSpec:
         if unknown:
             raise DomainError(f"unknown fixed parameters: {sorted(unknown)}")
         for name, value in self.fixed.items():
-            if not math.isfinite(value):
-                raise DomainError(f"fixed {name} must be finite, got {value!r}")
+            _check_real(f"fixed {name}", value)
         if self.var != "delta" and "delta" not in self.fixed:
             raise DomainError("a fixed 'delta' is required unless delta is swept")
         if self.var in ("s0", "s"):
@@ -382,9 +364,11 @@ def evaluate_point(
     Degenerate points (undefined phase, Kerr pole) become rows with branch
     'boundary' and empty phase fields; pass degenerate_ok=False to raise
     DegenerateResultError (PoleError for the Kerr model) instead.
-    Non-finite or negative drive parameters raise DomainError.
+    Drive parameters that ``atom.detuned_drive`` rejects raise its
+    DomainError before any arithmetic on them.
     """
     _check_model_coupling(model, coupling)
+    detuned_drive(delta, s0)
     row = ResultRow(*next(_tuples(_rows(
         model, coupling, [None], np.array([delta], dtype=float),
         ("s0", np.array([s0], dtype=float)), coupling.omega_n, coupling.eta))))

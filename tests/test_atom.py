@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.constants import c, epsilon_0, hbar
 from scipy.optimize import minimize_scalar
 
+from atomphase import atom as atom_module
 from atomphase import (
     FULL_DIPOLE_SOLID_ANGLE,
     AtomPhaseError,
@@ -20,7 +21,9 @@ from atomphase import (
     coherent_fraction,
     evaluate_point,
     excited_state_population,
+    kerr_linear_phase,
     kerr_phase,
+    phase_symmetric,
     physical_to_normalized,
     repeater_margin,
     saturation_at_detuning,
@@ -68,6 +71,19 @@ class TestAtomTransition:
     def test_rejects_complex_dipole_in_constructor(self):
         with pytest.raises(DomainError):
             AtomTransition.from_dipole(OMEGA0, complex(MU, 0.0))
+
+
+class TestConstants:
+    def test_literals_are_scipys_codata_values(self):
+        assert (atom_module._C, atom_module._HBAR, atom_module._EPS0) == (c, hbar, epsilon_0)
+
+    def test_conversions_are_bit_identical(self, atom):
+        # the bits these calls gave while atom.py imported scipy.constants
+        drive = physical_to_normalized(1e-9, atom, FULL_DIPOLE_SOLID_ANGLE / 2.0, 0.9)
+        assert [x.hex() for x in (atom.gamma, atom.wavelength, *drive)] == [
+            "0x1.221f5c9b506c4p+26", "0x1.a2e3aba79c7e3p-21", "0x1.0026e693bbb63p+11",
+            "0x1.4bb6f1ad67d36p+29", "0x1.4ea976d266129p+7"]
+        assert AtomTransition.from_linewidth(OMEGA0, 3.8e7).mu.hex() == "0x1.00a0b7b9d679cp-95"
 
 
 class TestPhysicalToNormalized:
@@ -303,15 +319,33 @@ class TestRejectedInputs:
             scattered_power_ratio(2.0, 0.5, 0.0, 0.0)
 
 
-# every float, with the extremes hypothesis may not reach on its own
+# every float, with the extremes hypothesis may not reach on its own, and
+# the ints past the float range
 anything = st.one_of(st.floats(), st.sampled_from(
-    [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-308, 1e308, -1e308, 0.0, -0.0]))
+    [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-308, 1e308, -1e308, 0.0, -0.0,
+     10**400, -10**400]))
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+unit = st.floats(0.0, 1.0)
 
 
 def _transition(make, *args):
     atom = make(*args)
     return atom.wavelength, atom.gamma, atom.mu
+
+
+def _phase(*args):
+    # the phase; its real part may overflow where the phase tends to 0
+    return phase_symmetric(*args).phi
+
+
+def _coupling(omega_n, eta):
+    coupling = SymmetricCoupling(omega_n, eta)
+    return coupling.omega_n, coupling.eta
+
+
+def _coherence(*args):
+    rho = steady_state_coherence(*args)
+    return rho.real, rho.imag
 
 
 TOTAL = {
@@ -323,6 +357,13 @@ TOTAL = {
     "scattered_phase": (scattered_phase, (anything, st.booleans())),
     "kerr_phase": (kerr_phase, (anything, anything)),
     "repeater_margin": (repeater_margin, (anything, anything)),
+    "phase_symmetric": (_phase, (st.builds(SymmetricCoupling, unit, unit), anything, anything)),
+    "kerr_linear_phase": (kerr_linear_phase, (st.builds(SymmetricCoupling, unit, unit),
+                                              anything)),
+    "excited_state_population": (excited_state_population, (anything,)),
+    "coherent_fraction": (coherent_fraction, (anything,)),
+    "steady_state_coherence": (_coherence, (anything,) * 3),
+    "SymmetricCoupling": (_coupling, (anything,) * 2),
 }
 
 

@@ -22,6 +22,7 @@ from atomphase import (
     DomainError,
     FULL_DIPOLE_SOLID_ANGLE,
     ParabolicMirror,
+    SweepRange,
     cone_weighted_solid_angle,
     mirror_weighted_solid_angle,
     optimize_waist,
@@ -1001,6 +1002,52 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             optimize_waist(ParabolicMirror(1.0, 20.0, 0.4), rel_tol=rel_tol)
 
+    def test_pupil_amplitude_past_u_squared_overflow(self):
+        # it returned NaN: 2u overflowed to inf and was divided by (1 + u^2)^2 = inf
+        mirror = ParabolicMirror(1e-99, 4e150)
+        assert pupil_dipole_profile(1.797693134862316e209, mirror) == 0.0
+
     def test_unknown_profile_kind(self):
         with pytest.raises(DomainError):
             BeamProfile(kind="bessel")
+
+
+# every float, the extremes hypothesis may not reach on its own, and the
+# ints past the float range (as in test_atom)
+anything = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-308, 1e308, -1e308, 0.0, -0.0,
+     10**400, -10**400]))
+mirrors = st.builds(ParabolicMirror, log_uniform(1e-150, 1e150), st.just(4e150))
+
+
+def _mirror(*args):
+    mirror = ParabolicMirror(*args)
+    return mirror.focal_length, mirror.aperture_radius, mirror.hole_radius
+
+
+def _grid(start, stop):
+    return tuple(SweepRange(start, stop, 5).grid())
+
+
+TOTAL = {
+    "ParabolicMirror": (_mirror, (anything,) * 3),
+    "doughnut": (lambda waist: BeamProfile.doughnut(waist).waist, (anything,)),
+    "parabola_ray_map": (parabola_ray_map, (anything, mirrors)),
+    "pupil_dipole_profile": (pupil_dipole_profile, (anything, mirrors)),
+    "SweepRange": (_grid, (anything, anything)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOTAL))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_finite_or_refused(name, data):
+    """A finite value, or an AtomPhaseError subclass, for every float."""
+    func, strategies = TOTAL[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    try:
+        value = func(*args)
+    except AtomPhaseError:
+        return
+    values = value if isinstance(value, tuple) else (value,)
+    assert all(map(math.isfinite, values)), (args, value)

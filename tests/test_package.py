@@ -97,3 +97,11 @@ def test_first_use_imports_only_its_submodule():
     # phase imports atom and errors; geometry imports errors
     assert loaded == ["atomphase.atom", "atomphase.errors", "atomphase.geometry",
                       "atomphase.phase"]
+
+
+def test_phase_loads_no_scipy():
+    # the constants are literals; only geometry's custom profiles need scipy
+    loaded = fresh("import sys, atomphase; atomphase.phase_symmetric; "
+                   "print(' '.join(sorted(sys.modules)))").split()
+    assert "atomphase.phase" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
