@@ -5,8 +5,9 @@ stdout), ``figures`` (preset curve bundles to CSV files), ``geometry``
 (cone and mirror coupling parameters as JSON).
 
 Exit codes: 0 success, 1 domain or degenerate error, 2 usage or config
-parse error.  Negative option values are safest in the ``--opt=value``
-form, e.g. ``--delta=-0.5``.
+parse error, or an I/O failure on the config or the output.  Negative
+option values are safest in the ``--opt=value`` form, e.g.
+``--delta=-0.5``.
 """
 
 from __future__ import annotations
@@ -174,7 +175,10 @@ def _number(name: str, value) -> float:
     # JSON numbers only: a bool, a string or null is refused, not coerced
     if type(value) not in (int, float):
         raise ConfigError(f"{name} must be a JSON number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is an integer past the floating-point range") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -183,8 +187,10 @@ def _cmd_sweep(args) -> int:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # bad JSON, bytes that are not UTF-8, or an integer longer than
+        # Python converts
+        raise ConfigError(f"cannot parse config as JSON: {exc}") from exc
     # every point is validated before the first byte is written
     write_sweep(_spec_from_config(config), sys.stdout.write, args.format)
     return 0
@@ -249,13 +255,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # flushed here, so that an output failure reaches the handler below
+        sys.stdout.flush()
+        return status
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AtomPhaseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except OSError as exc:
+        # a closed pipe is the reader's choice, not an error to report
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"error: {exc}\n")
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself failed, and the interpreter's final flush would
+            # fail again: what is left goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

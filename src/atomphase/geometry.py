@@ -25,13 +25,13 @@ runs in u with measure u du: the factor 4 f^2 to d dd cancels from every
 ratio, so all pupil results depend only on R/f, h/f and w/f.
 
 Every overlap and re-collimation integral of a preset profile is evaluated
-in closed form: the dipole norm on pupils and cones, the flat-top and
-dipole-matched powers and cross terms, the doughnut power, and the
-doughnut cross terms through the exponential integral E1.  The one
-exception is a pupil or cone interval narrower than 1e-3 of its outer
-end, where two antiderivatives would cancel: there a fixed 8-point
-Gauss-Legendre rule integrates the densities.  Adaptive quadrature remains
-only for custom profiles.
+in closed form: the dipole norm on pupils and cones (which also gives the
+weights omega_n), the flat-top and dipole-matched powers and cross terms,
+the doughnut power, and the doughnut cross terms through the exponential
+integral E1.  The one exception is a pupil or cone interval narrower than
+1e-3 of its outer end, where two antiderivatives would cancel: there a
+fixed 8-point Gauss-Legendre rule integrates the densities.  Adaptive
+quadrature remains only for custom profiles.
 
 Each public call evaluates each distinct integral once.  A matched
 profile's cross term and power are its dipole norm.  The re-collimated
@@ -106,27 +106,22 @@ class ParabolicMirror:
                 f"{self.hole_radius!r}")
 
 
-def _axial_fraction(theta: float) -> float:
-    # cumulative dipole-weighted fraction of the axial pattern over [0, theta]
-    c = math.cos(theta)
-    return 0.25 * (2.0 - 3.0 * c + c**3)
-
-
 def cone_weighted_solid_angle(cone: ConeAperture) -> float:
     """Dipole-weighted solid-angle fraction covered by a focusing cone.
 
     Evaluates (3 / 8 pi) * integral of sin^2(Theta) over the cone of
-    half-angle alpha, in closed form:
+    half-angle alpha by the cone overlaps' antiderivatives, whose forms in
+    sin(a / 2) do not cancel at small angles:
 
-        axial       (2 - 3 cos a + cos^3 a) / 4
-        transverse  3 (1 - cos a) / 4 - (2 - 3 cos a + cos^3 a) / 8
+        axial       (3/4) int_0^a sin^3 = sin^4(a/2) (2 + cos a)
+        transverse  (3/4) int_0^a sin - axial / 2
 
     Both reach 1/2 at a hemisphere and 1 on the full sphere.
     """
-    axial = _axial_fraction(cone.half_angle)
+    axial = 0.75 * _sin3_head(cone.half_angle)
     if cone.orientation is DipoleOrientation.AXIAL:
         return axial
-    return 0.75 * (1.0 - math.cos(cone.half_angle)) - 0.5 * axial
+    return 0.75 * _sin_head(cone.half_angle) - 0.5 * axial
 
 
 class RayMapping(NamedTuple):
@@ -153,17 +148,7 @@ def parabola_ray_map(d: float, mirror: ParabolicMirror) -> RayMapping:
     if math.isinf(d_prime):
         raise DomainError(
             f"pupil radius {d!r} is too small: its image 4 f^2 / d overflows")
-    return RayMapping(theta=_ray_angle(0.5 * d / f), d_prime=d_prime)
-
-
-def _ray_angle(u: float) -> float:
-    # theta(u) = pi - 2 atan(u); exactly pi at the vertex u = 0
-    return math.pi - 2.0 * math.atan(u)
-
-
-def _annulus_weight(lo: float, hi: float) -> float:
-    # dipole weight of theta in [theta(hi), theta(lo)], the image of [lo, hi] in u
-    return _axial_fraction(_ray_angle(lo)) - _axial_fraction(_ray_angle(hi))
+    return RayMapping(theta=math.pi - 2.0 * math.atan(0.5 * d / f), d_prime=d_prime)
 
 
 def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
@@ -171,9 +156,12 @@ def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
 
     The pupil annulus [hole, R] images onto theta in [theta(R),
     theta(hole)], with a hole-free mirror reaching the vertex at theta = pi.
+    As A^2 2 pi u du = sin^3(theta) 2 pi dtheta / 4, the weight (3/4) int
+    sin^3(theta) dtheta is 3 int A^2 u du: three times the overlaps' pupil
+    dipole norm on [u_h, u_R].
     """
     f = mirror.focal_length
-    return _annulus_weight(0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f)
+    return 3.0 * _dipole_norm(0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f)
 
 
 def _pupil_dipole(u: float) -> float:
@@ -257,8 +245,6 @@ _DECADES = tuple(10.0**k for k in range(-6, 9))
 
 
 def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
     cuts = [lo] + [c for c in _DECADES if lo < c < hi] + [hi]
     return sum(_quad(fn, a, b) for a, b in zip(cuts, cuts[1:]))
 
@@ -756,9 +742,10 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     all and misses the central hole on the way out; that interval maps
     onto itself under the involution.  p is the fraction of the beam power
     landing in the kept interval, omega_n_prime the dipole weight of its
-    angular image, and eta_prime the overlap of the Jacobian-remapped exit
-    beam exit(v) = beam(1 / v) / v^2 with the pupil dipole profile A on
-    the same interval.
+    angular image (three times its dipole norm, as in
+    ``mirror_weighted_solid_angle``), and eta_prime the overlap of the
+    Jacobian-remapped exit beam exit(v) = beam(1 / v) / v^2 with the pupil
+    dipole profile A on the same interval.
 
     eta_prime is the incident overlap on the kept interval [lo, hi]:
     A(1 / u) = u^2 A(u), so v = 1 / u turns int exit A v dv over [lo, hi]
@@ -767,8 +754,8 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
 
     The beam power on the whole annulus [u_h, u_R] is the kept power plus
     the power on the rings [u_h, lo] and [hi, u_R] outside the kept
-    interval, so the kept interval is integrated once for p and eta_prime
-    alike.
+    interval, so the kept interval is integrated once for p, eta_prime
+    and omega_n_prime alike.
 
     Raises DegenerateResultError when no rays survive (p would be 0).
     """
@@ -793,8 +780,7 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     p = min(power_kept / power_in, 1.0)
 
     eta_prime = _overlap_from_integrals(cross, power_kept, dip2)
-    return Recollimation(omega_n_prime=_annulus_weight(lo, hi),
-                         eta_prime=eta_prime, p=p)
+    return Recollimation(omega_n_prime=3.0 * dip2, eta_prime=eta_prime, p=p)
 
 
 class WaistOptimum(NamedTuple):

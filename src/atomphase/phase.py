@@ -144,15 +144,23 @@ def _kerr_phase(phi0, s):
     return phi0 * (1.0 - 1.5 * s)
 
 
+# The branch of each code that _branch_code returns, in code order.
+_BRANCHES = (PhaseBranch.GENERIC, PhaseBranch.PI, PhaseBranch.ZERO, PhaseBranch.BOUNDARY)
+
+
+def _branch_code(real, imag):
+    """Index into _BRANCHES of the amplitude real + i imag: generic off the
+    real axis, then pi, zero or boundary by the sign of real (a NaN real
+    part reads as zero)."""
+    return (imag == 0.0) * (2 - (real < 0.0) + (real == 0.0))
+
+
 def _assemble(real: float, imag: float) -> PhaseResult:
     # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
     imag = imag + 0.0
-    if real == 0.0 and imag == 0.0:
+    branch = _BRANCHES[_branch_code(real, imag)]
+    if branch is PhaseBranch.BOUNDARY:
         raise DegenerateResultError(NULL_FIELD_MESSAGE)
-    if imag == 0.0:
-        branch = PhaseBranch.PI if real < 0.0 else PhaseBranch.ZERO
-    else:
-        branch = PhaseBranch.GENERIC
     return PhaseResult(phi=math.atan2(imag, real), branch=branch,
                        real_part=real, imag_part=imag)
 
@@ -188,11 +196,7 @@ def resonance_branch(coupling: SymmetricCoupling, s0: float) -> PhaseBranch:
     smaller, BOUNDARY at exact equality."""
     # at delta = 0 the real part has the sign of (1+s0)^(3/2) - 2 omega_n eta^2
     real = _real_part(*detuned_drive(0.0, s0), _weight(coupling.omega_n, coupling.eta))
-    if real < 0.0:
-        return PhaseBranch.PI
-    if real > 0.0:
-        return PhaseBranch.ZERO
-    return PhaseBranch.BOUNDARY
+    return _BRANCHES[_branch_code(real, 0.0)]
 
 
 def critical_saturation(coupling: SymmetricCoupling) -> Optional[float]:

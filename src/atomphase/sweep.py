@@ -43,9 +43,11 @@ from .errors import DegenerateResultError, DomainError, PoleError, _check_real
 from .phase import (
     KERR_POLE_MESSAGE,
     NULL_FIELD_MESSAGE,
+    _BRANCHES as _PHASE_BRANCHES,
     AsymmetricCoupling,
     PhaseBranch,
     SymmetricCoupling,
+    _branch_code,
     _check_transmission,
     _cross_weight,
     _dispersive_phase,
@@ -53,6 +55,7 @@ from .phase import (
     _kerr_phase,
     _real_part,
     _weight,
+    critical_saturation,
 )
 
 __all__ = list(_EXPORTS["sweep"])
@@ -200,8 +203,8 @@ def row_to_dict(row: ResultRow) -> Dict[str, object]:
 # ------------------------------------------------------------------ kernel
 
 _DEGREES = math.degrees(1.0)   # math.degrees(x) is x times this constant
-_BRANCHES = np.array([PhaseBranch.GENERIC.value, PhaseBranch.PI.value,
-                      PhaseBranch.ZERO.value, PhaseBranch.BOUNDARY.value], dtype=object)
+_BRANCHES = np.array([branch.value for branch in _PHASE_BRANCHES], dtype=object)
+_BOUNDARY = _PHASE_BRANCHES.index(PhaseBranch.BOUNDARY)
 
 _CHUNK_ROWS = 1024   # rows computed, rendered and written at a time
 
@@ -304,27 +307,27 @@ def _chunks(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple
                 weight = _weight(on, et)
                 real = _real_part(lorentz, 0.0 if model == "kerr" else s, weight)
             if model == "kerr":
-                boundary = real == 0.0
+                # a pole is a boundary row; every other Kerr row is generic
+                pole = real == 0.0
                 phi = np.broadcast_to(_kerr_phase(
-                    _dispersive_phase(weight, d, np.where(boundary, 1.0, real)), s), m)
+                    _dispersive_phase(weight, d, np.where(pole, 1.0, real)), s), m)
                 phi_rad = phi.tolist()
-                code = np.where(boundary, 3, 0)
+                code = _BOUNDARY * pole
             else:
                 # -0.0 + 0.0 == +0.0, so atan2 lands on +pi for the resonant pi branch
                 imag = _imag_part(weight, d) + 0.0
-                boundary = (real == 0.0) & (imag == 0.0)
                 phi_rad = list(map(math.atan2, _each(imag, m), _each(real, m)))
                 phi = np.array(phi_rad)
-                code = np.where(boundary, 3,
-                                np.where(imag != 0.0, 0, np.where(real < 0.0, 1, 2)))
+                code = _branch_code(real, imag)
+        code = np.broadcast_to(code, m)
         phi_deg = (phi * _DEGREES).tolist()
-        for i in np.flatnonzero(np.broadcast_to(boundary, m)).tolist():
+        for i in np.flatnonzero(code == _BOUNDARY).tolist():
             phi_rad[i] = phi_deg[i] = None
         swept_column = _column(w)
         yield [swept_column,
                swept_column if d is w else _column(d),
                swept_column if s0 is w else _column(s0),
-               _column(s), phi_rad, phi_deg, _BRANCHES[np.broadcast_to(code, m)].tolist(),
+               _column(s), phi_rad, phi_deg, _BRANCHES[code].tolist(),
                _column(ratio), _column(fraction), model]
 
 
@@ -551,7 +554,7 @@ class FigurePreset:
 
 FIGURE_PRESETS = ("fig2", "fig3", "fig4", "fig5")
 
-_THRESHOLD_S0 = 4.0 ** (1.0 / 3.0) - 1.0  # critical s0 for full coupling
+_THRESHOLD_S0 = critical_saturation(SymmetricCoupling(1.0, 1.0))
 
 
 def _coupling_note(coupling: Coupling) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -310,6 +311,26 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and str(10**8) in err
 
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{}",
+        b'{"model": "symmetric", "sweep": {"stop": ' + b"9" * 5000 + b"}}",
+    ], ids=["not-utf-8", "integer-over-4300-digits"])
+    def test_unparsable_config_is_config_error(self, capsys, tmp_path, text):
+        path = tmp_path / "sweep.json"
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integer_past_the_float_range_names_its_key(self, capsys, tmp_path):
+        path = self.config(tmp_path, {
+            "model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
+            "sweep": {"var": "delta", "start": -5, "stop": 10**400, "count": 11},
+            "fixed": {"s0": 0.0}})
+        code, out, err = run_cli(capsys, "sweep", "--config", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: stop ")
+
     def test_unknown_key_is_config_error(self, capsys, tmp_path):
         path = self.config(tmp_path, {
             "model": "symmetric",
@@ -444,6 +465,70 @@ class TestGeometry:
         code, _, _ = run_cli(capsys, "geometry", "mirror", "--f", "1",
                              "--R", "2.1", "--hole", "2.05")
         assert code == 1
+
+
+SWEEP_CONFIG = {"model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
+                "sweep": {"var": "delta", "start": -5, "stop": 0, "count": 11},
+                "fixed": {"s0": 0.0}}
+EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (EVAL + ("--model", "symmetric", "--p", "1"), None, "only apply to the asymmetric"),
+    (EVAL + ("--model", "kerr", "--eta-prime", "1"), None, "only apply to the asymmetric"),
+    (("geometry", "mirror", "--f", "1", "--R", "4", "--hole", "0.2",
+      "--profile", "doughnut:abc"), None, "bad doughnut waist"),
+    (None, [SWEEP_CONFIG], "config must be a JSON object"),
+    (None, {k: v for k, v in SWEEP_CONFIG.items() if k != "sweep"},
+     "missing or malformed config section"),
+    (None, {**SWEEP_CONFIG, "coupling": 3}, "missing or malformed config section"),
+    (None, {**SWEEP_CONFIG, "fixed": [0.0]}, "'fixed' must be an object"),
+    (None, {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "step": 0.5}},
+     "unknown sweep keys: ['step']"),
+], ids=["symmetric-prime-flag", "kerr-prime-flag", "bad-doughnut-waist", "config-list",
+        "missing-section", "malformed-section", "fixed-list", "unknown-sweep-key"])
+def test_refusal_is_usage_error(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ("sweep", "--config", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+class TestOutputFailures:
+    # exit 2 with at most one error line and no traceback
+
+    def test_figures_into_an_existing_file(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "figures", "--name", "fig2", "--out", str(taken))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_a_full_device(self, capsys, monkeypatch):
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            code = main(list(EVAL) + ["--model", "symmetric"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_reader_closes_the_pipe(self, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(
+            {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "count": 200_001}}),
+            encoding="utf-8")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "atomphase", "sweep", "--config", str(config)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline().startswith(b"swept_value,")
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 2
+        assert err == b""
 
 
 def reject_constant(name):

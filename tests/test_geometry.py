@@ -921,6 +921,94 @@ class TestNarrowCone:
             assert got == pytest.approx(geometry._cone_span(head, lo, hi), rel=1e-11, abs=0.0)
 
 
+class TestWeightReference:
+    """Dipole weights against mpmath, from the same float inputs.
+
+    The references are the textbook forms (2 - 3 cos t + cos^3 t) / 4 and
+    1 - cos t, evaluated at 400 digits: enough for their cancellation at
+    half-angles down to 1e-70 and on annuli a few ulp wide to leave more
+    than 50.  A mirror's ray angle enters through cos(theta(u)) =
+    (u^2 - 1) / (u^2 + 1), with u = d / 2f exact in float for f = 1, and
+    omega_n_prime's reference takes the library's kept interval, whose end
+    1 / u_R is itself a rounded float.
+    """
+
+    DIGITS = 400
+
+    @staticmethod
+    def axial(mp, cos_t):
+        return (2 - 3 * cos_t + cos_t ** 3) / 4
+
+    def cone_reference(self, mp, alpha, orientation):
+        with mp.workdps(self.DIGITS):
+            c = mp.cos(mp.mpf(alpha))
+            axial = self.axial(mp, c)
+            if orientation is AXIAL:
+                return axial
+            return 3 * (1 - c) / 4 - axial / 2
+
+    def pupil_reference(self, mp, lo, hi):
+        # the weight of theta in [theta(hi), theta(lo)]
+        with mp.workdps(self.DIGITS):
+            def cos_theta(u):
+                t = mp.mpf(u) ** 2
+                return (t - 1) / (t + 1)
+            return self.axial(mp, cos_theta(lo)) - self.axial(mp, cos_theta(hi))
+
+    @staticmethod
+    def seeded_alphas():
+        rng = np.random.default_rng(53)
+        pinned = [math.pi / 2.0, math.pi, 1e-4, 1e-8]
+        return pinned + [10.0 ** x for x in rng.uniform(-70.0, math.log10(math.pi), 240)]
+
+    @staticmethod
+    def seeded_mirrors():
+        """Mirrors of f = 1 with R/f over [1e-8, 1e8], a third each
+        hole-free, holed and with a narrow annulus; then as many that keep
+        rays (R > 2f > h), with holes up to just under 2f."""
+        rng = np.random.default_rng(59)
+        pairs = [(1e-6, 0.0), (1e-3, 0.0), (2.0 * (1.0 + 1e-7), 2.0 * (1.0 - 1e-7))]
+        for k in range(480):
+            if k < 240:
+                r = 10.0 ** rng.uniform(-8.0, 8.0)
+                outer = r
+            else:
+                r = 2.0 * (1.0 + 10.0 ** rng.uniform(-15.0, 7.6))
+                outer = 2.0
+            if k % 3 == 0:
+                h = 0.0
+            elif k % 3 == 1:
+                h = outer * 10.0 ** rng.uniform(-8.0, -1e-3)
+            else:
+                h = outer * (1.0 - 10.0 ** rng.uniform(-15.0, -2.0))
+            pairs.append((r, h))
+        return [ParabolicMirror(1.0, r, h) for r, h in pairs]
+
+    @pytest.mark.parametrize("orientation", [AXIAL, TRANSVERSE])
+    def test_cone(self, orientation):
+        mp = pytest.importorskip("mpmath")
+        for alpha in self.seeded_alphas():
+            got = cone_weighted_solid_angle(ConeAperture(alpha, orientation))
+            want = self.cone_reference(mp, alpha, orientation)
+            assert abs(got - want) <= 2e-15 * want, (alpha, got, want)
+
+    def test_mirror(self):
+        mp = pytest.importorskip("mpmath")
+        kept = 0
+        for mirror in self.seeded_mirrors():
+            r, h = mirror.aperture_radius, mirror.hole_radius
+            want = self.pupil_reference(mp, 0.5 * h, 0.5 * r)
+            got = mirror_weighted_solid_angle(mirror)
+            assert abs(got - want) <= 1e-12 * want, (r, h, got, want)
+            lo, hi = kept_interval(mirror)
+            if lo < hi:
+                kept += 1
+                want = self.pupil_reference(mp, lo, hi)
+                got = recollimation_parameters(mirror, FLAT).omega_n_prime
+                assert abs(got - want) <= 1e-12 * want, (r, h, got, want)
+        assert kept >= 200
+
+
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda k: 10.0 ** k)
 
@@ -1051,3 +1139,15 @@ def test_finite_or_refused(name, data):
         return
     values = value if isinstance(value, tuple) else (value,)
     assert all(map(math.isfinite, values)), (args, value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ConeAperture(1.0, "axial"), "orientation must be a DipoleOrientation"),
+    (lambda: BeamProfile(kind="custom"), "requires a callable"),
+    (lambda: overlap_eta(FLAT, ConeAperture(1.0, AXIAL), (0.5, 4.0)), "angular region"),
+    (lambda: overlap_eta(FLAT, "mirror"), "geometry must be"),
+], ids=["string-orientation", "custom-without-callable", "cone-region-past-pi",
+        "not-a-geometry"])
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -461,3 +461,9 @@ class TestLiteralFormulas:
         for name, args in calls:
             assert (outcome(getattr(atomphase, name), *args)
                     == outcome(getattr(oracles, name), *args)), name
+
+
+def test_kerr_relative_error_at_the_reference_pole():
+    # 1 + 4 delta^2 = 2 = 2 omega_n eta^2 at delta = 1/2 and s = 0
+    with pytest.raises(PoleError, match="reference phase has a pole"):
+        kerr_relative_error(FULL, 0.5, 0.0)

@@ -686,3 +686,9 @@ class TestStreamedWriters:
                 tracemalloc.stop()
 
         assert peak(200_001) - peak(20_001) < 2_000_000
+
+
+def test_fixed_s_conflicts_with_a_swept_s0():
+    with pytest.raises(DomainError, match="conflict"):
+        SweepSpec(model="symmetric", coupling=SymmetricCoupling(1.0, 1.0), var="s0",
+                  range=SweepRange(0.0, 1.0, 3), fixed={"delta": 0.0, "s": 0.1})
