@@ -1,4 +1,5 @@
-"""Golden bytes: sha256 of every figure CSV and of a fixed sweep matrix.
+"""Golden bytes: sha256 of every figure CSV, of a fixed sweep matrix and
+of a fixed geometry matrix.
 
 A refactor that keeps behaviour leaves these bytes untouched; a float
 tolerance cannot tell whether the last printed digit moved.  The matrix
@@ -6,6 +7,13 @@ covers 3 models x 5 sweep variables x csv/json, 101 points per sweep,
 with log-spaced grids (s0 and eta) for every model.  Two more sweeps span
 several chunks of rows (sweep._CHUNK_ROWS), each with boundary or pole
 rows, so a writer that renders one chunk from another's layout shows.
+
+The geometry matrix pins the ``repr`` of each design call's value, or the
+name of the error class it raises: cone weights and axial overlaps from
+near-zero half-angles to the full sphere, and mirrors from R/f = 1e-6 to
+1e8, with the hole or the rim just past 2f, under the flat-top, matched
+and three doughnut profiles.  Custom profiles are left out: their bits
+follow scipy's QUADPACK, whose version is not pinned.
 
 After a deliberate output change, rewrite the fixture with
 
@@ -15,6 +23,7 @@ After a deliberate output change, rewrite the fixture with
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from contextlib import redirect_stdout
@@ -23,6 +32,18 @@ from tempfile import TemporaryDirectory
 
 import pytest
 
+from atomphase import (
+    AtomPhaseError,
+    BeamProfile,
+    ConeAperture,
+    DipoleOrientation,
+    ParabolicMirror,
+    cone_weighted_solid_angle,
+    mirror_weighted_solid_angle,
+    optimize_waist,
+    overlap_eta,
+    recollimation_parameters,
+)
 from atomphase.cli import main as cli_main
 from atomphase.sweep import FIGURE_PRESETS
 
@@ -60,6 +81,69 @@ CASES += [(f"sweep-chunked-{model}-{sweep[0]}.{fmt}", model, coupling, sweep, co
           for model, coupling, sweep, count in CHUNKED for fmt in ("csv", "json")]
 
 
+CONE_ANGLES = (1e-8, 1e-3, 0.3, 1.0, math.pi / 2.0, 2.5, math.pi)
+# name: (f, R, h)
+MIRRORS = {
+    "hole-free": (1.0, 4.0, 0.0),
+    "holed": (1.0, 4.0, 0.2),
+    "deep": (1.0, 20.0, 0.4),
+    "scaled": (1e-30, 7e-30, 3e-31),
+    "hole-to-2f": (1.0, 4.0, math.nextafter(2.0, 0.0)),
+    "rim-to-2f": (1.0, math.nextafter(2.0, 3.0), 0.0),
+    "rim-2f-1e-9": (1.0, 2.0 + 2e-9, 0.5),
+    "narrow-annulus": (1.0, 3.0, 3.0 * (1.0 - 1e-9)),
+    "tiny": (1.0, 1e-6, 0.0),
+    "tiny-holed": (1.0, 1e-6, 4e-7),
+    "huge": (1.0, 1e8, 0.0),
+    "huge-holed": (1.0, 1e8, 1.0),
+}
+# name: profile at focal length f; doughnut waists in units of f
+PROFILES = {
+    "flattop": lambda f: BeamProfile.flat_top(),
+    "matched": lambda f: BeamProfile.dipole_matched(),
+    **{f"doughnut-{w}": lambda f, w=w: BeamProfile.doughnut(w * f) for w in (0.3, 1.3, 5.0)},
+}
+
+
+def geometry_cases():
+    """{name: call} over the geometry matrix."""
+    cases = {}
+    for alpha in CONE_ANGLES:
+        for orientation in DipoleOrientation:
+            cone = ConeAperture(alpha, orientation)
+            cases[f"geometry-cone-{alpha!r}-{orientation.value}-omega_n"] = (
+                lambda cone=cone: cone_weighted_solid_angle(cone))
+        axial = ConeAperture(alpha, DipoleOrientation.AXIAL)
+        for kind in ("flattop", "matched"):
+            profile = PROFILES[kind](1.0)
+            cases[f"geometry-cone-{alpha!r}-{kind}-eta"] = (
+                lambda profile=profile, cone=axial: overlap_eta(profile, cone))
+    for name, (f, r, h) in MIRRORS.items():
+        mirror = ParabolicMirror(f, r, h)
+        cases[f"geometry-mirror-{name}-omega_n"] = (
+            lambda mirror=mirror: mirror_weighted_solid_angle(mirror))
+        for kind, make in PROFILES.items():
+            profile = make(f)
+            cases[f"geometry-mirror-{name}-{kind}-eta"] = (
+                lambda profile=profile, mirror=mirror: overlap_eta(profile, mirror))
+            cases[f"geometry-mirror-{name}-{kind}-recollimation"] = (
+                lambda profile=profile, mirror=mirror: recollimation_parameters(mirror, profile))
+        cases[f"geometry-mirror-{name}-optimize_waist"] = (
+            lambda mirror=mirror: optimize_waist(mirror))
+    return cases
+
+
+GEOMETRY = geometry_cases()
+
+
+def geometry_bytes(name):
+    try:
+        value = GEOMETRY[name]()
+    except AtomPhaseError as exc:
+        return type(exc).__name__.encode("utf-8")
+    return repr(value).encode("utf-8")
+
+
 def sweep_bytes(model, coupling, sweep, count, fmt, workdir):
     var, start, stop, spacing, fixed = sweep
     config = {"model": model, "coupling": coupling,
@@ -94,6 +178,7 @@ def record():
                             for entry, data in figure_files(name, workdir).items()})
         for name, *case in CASES:
             digests[name] = digest(sweep_bytes(*case, workdir))
+    digests.update({name: digest(geometry_bytes(name)) for name in GEOMETRY})
     return digests
 
 
@@ -114,6 +199,12 @@ def test_figure_bytes(name, golden, tmp_path):
 def test_sweep_bytes(case, golden, tmp_path):
     name, *rest = case
     assert digest(sweep_bytes(*rest, str(tmp_path))) == golden[name]
+
+
+
+@pytest.mark.parametrize("name", GEOMETRY)
+def test_geometry_bytes(name, golden):
+    assert digest(geometry_bytes(name)) == golden[name]
 
 
 if __name__ == "__main__":
