@@ -28,10 +28,11 @@ Every overlap and re-collimation integral of a preset profile is evaluated
 in closed form: the dipole norm on pupils and cones (which also gives the
 weights omega_n), the flat-top and dipole-matched powers and cross terms,
 the doughnut power, and the doughnut cross terms through the exponential
-integral E1.  The one exception is a pupil or cone interval narrower than
-1e-3 of its outer end, where two antiderivatives would cancel: there a
-fixed 8-point Gauss-Legendre rule integrates the densities.  Adaptive
-quadrature remains only for custom profiles.
+integral E1.  A cone's weights and overlaps are the sin^k antiderivatives
+from the axis, read at its half-angle.  The one exception is a pupil
+interval narrower than 1e-3 of its outer end, where two antiderivatives
+would cancel: there a fixed 8-point Gauss-Legendre rule integrates the
+densities.  Adaptive quadrature remains only for custom profiles.
 
 Each public call evaluates each distinct integral once.  A matched
 profile's cross term and power are its dipole norm.  The re-collimated
@@ -104,6 +105,11 @@ class ParabolicMirror:
             raise DomainError(
                 "hole_radius must satisfy 0 <= hole < aperture_radius, got "
                 f"{self.hole_radius!r}")
+        # every pupil integral runs in u = d / 2f up to u_R = 0.5 R / f
+        if not 0.0 < 0.5 * self.aperture_radius / self.focal_length < math.inf:
+            raise DomainError(
+                "0.5 aperture_radius / focal_length must be a positive float, got "
+                f"R = {self.aperture_radius!r}, f = {self.focal_length!r}")
 
 
 def cone_weighted_solid_angle(cone: ConeAperture) -> float:
@@ -193,7 +199,7 @@ class BeamProfile:
     (d/w) exp(-d^2/w^2) on a mirror pupil), ``dipole_matched``
     (proportional to the dipole pattern in whatever coordinates it is
     evaluated).  ``custom`` wraps any square-integrable radial amplitude,
-    evaluated on the native coordinate of the region: pupil radius for
+    evaluated on the native coordinate of the aperture: pupil radius for
     mirrors, polar angle for cones.
     """
 
@@ -265,11 +271,11 @@ _RING_SERIES = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(
 
 
 def _span(head: Callable[[float], float], tail: Callable[[float], float],
-          a: float, b: float, pivot: float) -> float:
-    # Integral over [a, b] from head (integral from the lower end of the
-    # domain) or tail (integral to its upper end), whichever is the small
-    # difference on this side of pivot, so that neither cancels.
-    if a >= pivot:
+          a: float, b: float) -> float:
+    # Integral over [a, b] from head (integral from 0) or tail (integral to
+    # infinity), whichever is the small difference on this side of 1, so
+    # that neither cancels.
+    if a >= 1.0:
         return tail(a) - tail(b)
     return head(b) - head(a)
 
@@ -347,7 +353,7 @@ def _dipole_norm(lo: float, hi: float) -> float:
     """int A(u)^2 u du over [lo, hi]: the pupil dipole norm."""
     if hi - lo <= _NARROW * hi:
         return _gauss_legendre(lambda u: _pupil_dipole(u) ** 2 * u, lo, hi)
-    return _span(_dipole_norm_head, lambda u: _dipole_norm_head(1.0 / u), lo, hi, 1.0)
+    return _span(_dipole_norm_head, lambda u: _dipole_norm_head(1.0 / u), lo, hi)
 
 
 # Doughnut cross term.  With b = 2f/w, a = b^2 and t = u^2 it reduces to
@@ -548,21 +554,19 @@ def _pupil_power(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
         b = _doughnut_b(profile, f)
         if hi - lo <= _NARROW * hi:
             return _gauss_legendre(lambda u: _doughnut_amplitude(b * u) ** 2 * u, lo, hi)
-        return _span(_ring_head, _ring_tail, b * lo, b * hi, 1.0) / b / b
+        return _span(_ring_head, _ring_tail, b * lo, b * hi) / b / b
     # a custom amplitude takes d = f (2u), which unlike (2f) u cannot overflow
     beam = profile.func
     return _pupil_quad(lambda u: beam(f * (2.0 * u)) ** 2 * u, lo, hi)
 
 
 def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
-    """int beam A u du over [lo, hi] for focal length f."""
+    """int beam A u du over [lo, hi] for focal length f; not for a matched
+    beam, whose cross term is its dipole norm (see ``_pupil_integrals``)."""
     if profile.kind == "flattop":
         if hi - lo <= _NARROW * hi:
             return _gauss_legendre(lambda u: _pupil_dipole(u) * u, lo, hi)
-        return _span(_flat_cross_head, lambda u: _flat_cross_partner_head(1.0 / u),
-                     lo, hi, 1.0)
-    if profile.kind == "matched":
-        return _dipole_norm(lo, hi)
+        return _span(_flat_cross_head, lambda u: _flat_cross_partner_head(1.0 / u), lo, hi)
     if profile.kind == "doughnut":
         b = _doughnut_b(profile, f)
         if hi - lo <= _NARROW * hi:
@@ -573,8 +577,7 @@ def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     return _pupil_quad(lambda u: beam(f * (2.0 * u)) * _pupil_dipole(u) * u, lo, hi)
 
 
-# Cone antiderivatives in theta on [0, pi].  sin(pi - t) = sin t, so each
-# tail integral is the head integral at pi - t.
+# Cone antiderivatives: integrals of sin^k from the axis to t in [0, pi].
 
 def _sin_head(t: float) -> float:
     # int_0^t sin = 1 - cos t
@@ -596,28 +599,6 @@ def _sin3_head(t: float) -> float:
     return 4.0 * s ** 4 * (2.0 + math.cos(t)) / 3.0
 
 
-# The density sin^k each cone antiderivative integrates.  On a narrow
-# interval (hi - lo <= _NARROW * hi) the antiderivatives cancel as the pupil
-# ones do, and the Gauss-Legendre rule integrates the density instead,
-# reflected to pi - t past pi / 2 like the tail integrals: pi - t is exact
-# there, so near the axis at pi the nodes keep the interval's relative
-# resolution.  sin^k is entire and the interval spans at most pi / 1000, so
-# the rule is exact to rounding.
-_CONE_DENSITY = {
-    _sin_head: math.sin,
-    _sin2_head: lambda t: math.sin(t) ** 2,
-    _sin3_head: lambda t: math.sin(t) ** 3,
-}
-
-
-def _cone_span(head: Callable[[float], float], lo: float, hi: float) -> float:
-    if hi - lo <= _NARROW * hi:
-        if lo >= 0.5 * math.pi:
-            lo, hi = math.pi - hi, math.pi - lo
-        return _gauss_legendre(_CONE_DENSITY[head], lo, hi)
-    return _span(head, lambda t: head(math.pi - t), lo, hi, 0.5 * math.pi)
-
-
 def _pupil_integrals(profile: BeamProfile, f: float, lo: float,
                      hi: float) -> Tuple[float, float, float]:
     """(cross term, beam power, dipole norm) on [lo, hi]: an overlap's integrals."""
@@ -633,8 +614,7 @@ def _overlap_from_integrals(cross: float, beam2: float, dip2: float) -> float:
     # a subnormal norm has lost its relative precision to underflow
     if beam2 < _TINY or dip2 < _TINY:
         raise DegenerateResultError(
-            "zero-norm profile on the requested region; the overlap is "
-            "undefined")
+            "zero-norm profile on the aperture; the overlap is undefined")
     # sqrt(beam2 * dip2) with each factor first scaled by a power of four
     # into [0.5, 2), so the product can neither overflow nor underflow at
     # large or small pupil scales.  Power-of-two scaling is exact, so the
@@ -649,43 +629,22 @@ def _overlap_from_integrals(cross: float, beam2: float, dip2: float) -> float:
     return min(eta, 1.0)
 
 
-def overlap_eta(
-    profile: BeamProfile,
-    geometry: Union[ParabolicMirror, ConeAperture],
-    region: Optional[Tuple[float, float]] = None,
-) -> float:
+def overlap_eta(profile: BeamProfile,
+                geometry: Union[ParabolicMirror, ConeAperture]) -> float:
     """Normalized amplitude overlap of a beam with the dipole pattern.
 
-    For a ``ParabolicMirror`` the integrals run over the pupil annulus
-    (default: hole to aperture radius) against the pupil dipole profile,
-    with measure 2 pi d dd.  For a ``ConeAperture`` with an axial dipole
-    they run over the polar angle (default: 0 to the half-angle) against
+    For a ``ParabolicMirror`` the integrals run over the pupil annulus from
+    the hole to the aperture radius against the pupil dipole profile, with
+    measure 2 pi d dd; a sub-annulus (lo, hi) of a mirror is the mirror
+    ``ParabolicMirror(f, hi, lo)``.  For a ``ConeAperture`` with an axial
+    dipole they run over the polar angle from 0 to the half-angle against
     sin(theta), with measure 2 pi sin(theta) dtheta.  Cauchy-Schwarz bounds
     the result by 1, with equality only for profiles proportional to the
     dipole's.
-
-    Parameters
-    ----------
-    profile : BeamProfile
-        Incident beam amplitude.
-    geometry : ParabolicMirror or ConeAperture
-        Sets the coordinate, the measure and the dipole reference.
-    region : (float, float), optional
-        Integration bounds overriding the geometry's illuminated region:
-        pupil radii for mirrors, polar angles for cones.
     """
-    if region is not None:
-        _check_real("region start", region[0])
-        _check_real("region end", region[1])
     if isinstance(geometry, ParabolicMirror):
-        lo, hi = region if region is not None else (
-            geometry.hole_radius, geometry.aperture_radius)
-        if not 0.0 <= lo < hi:
-            raise DomainError(
-                "pupil region must satisfy 0 <= lo < hi < inf, got "
-                f"({lo!r}, {hi!r})")
         f = geometry.focal_length
-        lo, hi = 0.5 * lo / f, 0.5 * hi / f
+        lo, hi = 0.5 * geometry.hole_radius / f, 0.5 * geometry.aperture_radius / f
         return _overlap_from_integrals(*_pupil_integrals(profile, f, lo, hi))
 
     if isinstance(geometry, ConeAperture):
@@ -693,25 +652,20 @@ def overlap_eta(
             raise DomainError(
                 "angular overlaps are defined for axial dipoles only; a "
                 "transverse dipole has no azimuthally symmetric amplitude")
-        lo, hi = region if region is not None else (0.0, geometry.half_angle)
-        if not (0.0 <= lo < hi <= math.pi):
-            raise DomainError(
-                f"angular region must satisfy 0 <= lo < hi <= pi, got "
-                f"({lo!r}, {hi!r})")
-        dip2 = _cone_span(_sin3_head, lo, hi)
+        alpha = geometry.half_angle
+        dip2 = _sin3_head(alpha)
         if profile.kind == "flattop":
-            cross = _cone_span(_sin2_head, lo, hi)
-            beam2 = _cone_span(_sin_head, lo, hi)
+            cross = _sin2_head(alpha)
+            beam2 = _sin_head(alpha)
         elif profile.kind == "matched":
             cross = beam2 = dip2
         elif profile.kind == "doughnut":
             raise DomainError(
-                "a doughnut profile is defined on a mirror pupil, not on an "
-                "angular region")
+                "a doughnut profile is defined on a mirror pupil, not on a cone")
         else:
             beam = profile.func
-            cross = _quad(lambda t: beam(t) * math.sin(t) * math.sin(t), lo, hi)
-            beam2 = _quad(lambda t: beam(t) ** 2 * math.sin(t), lo, hi)
+            cross = _quad(lambda t: beam(t) * math.sin(t) * math.sin(t), 0.0, alpha)
+            beam2 = _quad(lambda t: beam(t) ** 2 * math.sin(t), 0.0, alpha)
         return _overlap_from_integrals(cross, beam2, dip2)
 
     raise DomainError(

@@ -466,6 +466,18 @@ class TestGeometry:
                              "--R", "2.1", "--hole", "2.05")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--f", "1", "--R", "5e-324", "--hole", "0"),
+        ("--f", "4.189465174920426e-12", "--R", "1.5062745567398403e+297",
+         "--hole", "1", "--profile", "flattop"),
+    ], ids=["underflow", "overflow"])
+    def test_aperture_ratio_past_the_float_range(self, capsys, argv):
+        # 0.5 R / f rounded to 0 (a ZeroDivisionError traceback) or to inf
+        code, out, err = run_cli(capsys, "geometry", "mirror", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 0.5 aperture_radius / focal_length")
+        assert err.count("\n") == 1
+
 
 SWEEP_CONFIG = {"model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
                 "sweep": {"var": "delta", "start": -5, "stop": 0, "count": 11},

@@ -283,8 +283,9 @@ class TestOverlap:
                              hole_radius=0.4)
 
     def test_matched_profile_saturates_bound(self):
-        for region in [None, (0.5, 3.0), (1.0, 15.0)]:
-            eta = overlap_eta(BeamProfile.dipole_matched(), self.MIRROR, region)
+        for mirror in [self.MIRROR, ParabolicMirror(1.0, 3.0, 0.5),
+                       ParabolicMirror(1.0, 15.0, 1.0)]:
+            eta = overlap_eta(BeamProfile.dipole_matched(), mirror)
             np.testing.assert_allclose(eta, 1.0, atol=1e-9)
 
     def test_matched_on_cone(self):
@@ -343,24 +344,20 @@ class TestOverlap:
             overlap_eta(silent, self.MIRROR)
 
     def test_underflowing_region_degenerate(self):
-        # both norms are positive but their product underflows
+        # the dipole norm of a pupil 1e-80 f across underflows
         with pytest.raises(DegenerateResultError):
-            overlap_eta(BeamProfile.flat_top(), self.MIRROR, (0.0, 1e-80))
+            overlap_eta(BeamProfile.flat_top(), ParabolicMirror(1.0, 1e-80))
 
-    @pytest.mark.parametrize("geometry_, region", [
-        (ParabolicMirror(1.0, 4.0), (0.0, 1e-60)),
-        (ParabolicMirror(1.0, 4.0), (0.0, 1e-76)),
-        (ConeAperture(1.0, AXIAL), (0.0, 1e-60)),
-    ])
-    def test_narrow_region_keeps_precision(self, geometry_, region):
+    @pytest.mark.parametrize("geometry_", [
+        ParabolicMirror(1.0, 1e-60),
+        ParabolicMirror(1.0, 1e-76),
+        ConeAperture(1e-60, AXIAL),
+    ], ids=["mirror-1e-60", "mirror-1e-76", "cone-1e-60"])
+    def test_narrow_region_keeps_precision(self, geometry_):
         # near the vertex or the axis the flat-top overlap tends to
         # 2 sqrt(2) / 3; both norms are normal, but their product underflows
-        eta = overlap_eta(BeamProfile.flat_top(), geometry_, region)
+        eta = overlap_eta(BeamProfile.flat_top(), geometry_)
         assert eta == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-12, abs=0.0)
-
-    def test_bad_region_rejected(self):
-        with pytest.raises(DomainError):
-            overlap_eta(BeamProfile.flat_top(), self.MIRROR, (3.0, 2.0))
 
     @pytest.mark.parametrize("geometry_", [ParabolicMirror(1.0, 4.0, 0.2),
                                            ConeAperture(1.0, AXIAL)])
@@ -700,20 +697,17 @@ class TestClosedForms:
                 rel=self.RTOL, abs=0.0), (w, design)
 
     def test_cone_integrals(self):
+        # each cone integral is a head on [0, alpha]
         rng = np.random.default_rng(67)
-        regions = [(0.0, a) for a in (1e-3, 3e-3, 1e-2, 0.1, 1.0, math.pi / 2,
-                                      2.0, math.pi)]
-        regions += [(math.pi - 1e-2, math.pi), (1.0, math.pi - 1e-3), (2.5, 3.0)]
-        for _ in range(30):
-            lo, hi = sorted(rng.uniform(0.0, math.pi, size=2))
-            regions += [(0.0, 10.0 ** rng.uniform(-3.0, math.log10(math.pi))),
-                        (float(lo), float(hi))]
+        alphas = [1e-3, 3e-3, 1e-2, 0.1, 1.0, math.pi / 2, 2.0, math.pi - 1e-3, math.pi]
+        alphas += [10.0 ** rng.uniform(-3.0, math.log10(math.pi)) for _ in range(30)]
+        alphas += [float(a) for a in rng.uniform(0.0, math.pi, size=30)]
         for head, power in ((geometry._sin_head, 1), (geometry._sin2_head, 2),
                             (geometry._sin3_head, 3)):
-            for lo, hi in regions:
-                expected = oracle_quad(lambda t: math.sin(t) ** power, lo, hi)
-                assert geometry._cone_span(head, lo, hi) == pytest.approx(
-                    expected, rel=self.RTOL, abs=0.0), (power, lo, hi)
+            for alpha in alphas:
+                expected = oracle_quad(lambda t: math.sin(t) ** power, 0.0, alpha)
+                assert head(alpha) == pytest.approx(
+                    expected, rel=self.RTOL, abs=0.0), (power, alpha)
 
 
 class TestQuadratureOnlyWhereNeeded:
@@ -883,42 +877,12 @@ class TestNarrowInterval:
         regions = [(u, u * (1.0 + 0.999 * geometry._NARROW)) for u in (0.3, 1.0, 2.0)]
 
         def integrals():
-            return [(geometry._pupil_cross(profile, 1.0, lo, hi),
-                     geometry._pupil_power(profile, 1.0, lo, hi),
-                     geometry._dipole_norm(lo, hi)) for lo, hi in regions]
+            return [geometry._pupil_integrals(profile, 1.0, lo, hi) for lo, hi in regions]
 
         ruled = integrals()
         monkeypatch.setattr(geometry, "_NARROW", 0.0)
         for got, want in zip(ruled, integrals()):
             assert got == pytest.approx(want, rel=1e-11, abs=0.0)
-
-
-class TestNarrowCone:
-    # Differencing the sin^k antiderivatives on a narrow angular region gave
-    # eta = 0.984 at width 1e-15 near 0.3 rad; the true value is 1 - O(width^2)
-    CONE = ConeAperture(math.pi, AXIAL)
-
-    @pytest.mark.parametrize("lo, width", [
-        (0.3, 1e-15), (0.3, 1e-9), (2.0, 1e-15), (2.0, 1e-9),
-        (math.pi - 1e-6 - 1e-13, 1e-13), (math.pi - 1e-6 - 1e-15, 1e-15),
-    ])
-    def test_ring_overlap_is_one(self, lo, width):
-        eta = overlap_eta(FLAT, self.CONE, (lo, lo + width))
-        assert eta == pytest.approx(1.0, rel=0.0, abs=1e-12)
-
-    def test_axis_at_pi(self):
-        # the last nanoradian before pi: sin t ~ pi - t, as near the axis at 0
-        eta = overlap_eta(FLAT, self.CONE, (math.pi - 1e-9, math.pi))
-        assert eta == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("head", [geometry._sin_head, geometry._sin2_head,
-                                      geometry._sin3_head], ids=["sin", "sin2", "sin3"])
-    def test_rule_matches_closed_forms_at_the_cut(self, head, monkeypatch):
-        regions = [(t * (1.0 - 0.999 * geometry._NARROW), t) for t in (0.3, 1.0, 2.0, 3.0)]
-        ruled = [geometry._cone_span(head, lo, hi) for lo, hi in regions]
-        monkeypatch.setattr(geometry, "_NARROW", 0.0)
-        for got, (lo, hi) in zip(ruled, regions):
-            assert got == pytest.approx(geometry._cone_span(head, lo, hi), rel=1e-11, abs=0.0)
 
 
 class TestWeightReference:
@@ -1070,15 +1034,6 @@ class TestNonFiniteInputs:
             BeamProfile(kind="doughnut", waist=bad)
 
     @pytest.mark.parametrize("bad", BAD)
-    def test_overlap_region(self, bad):
-        mirror = ParabolicMirror(1.0, 4.0, 0.2)
-        cone = ConeAperture(1.0, AXIAL)
-        for geometry_, region in ((mirror, (0.2, bad)), (mirror, (bad, 4.0)),
-                                  (cone, (0.0, bad)), (cone, (bad, 1.0))):
-            with pytest.raises(DomainError):
-                overlap_eta(FLAT, geometry_, region)
-
-    @pytest.mark.parametrize("bad", BAD)
     def test_waist_bracket(self, bad):
         mirror = ParabolicMirror(1.0, 20.0, 0.4)
         for bracket in ((0.1, bad), (bad, 20.0)):
@@ -1089,6 +1044,28 @@ class TestNonFiniteInputs:
     def test_waist_rel_tol(self, rel_tol):
         with pytest.raises(DomainError):
             optimize_waist(ParabolicMirror(1.0, 20.0, 0.4), rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("f, r, h", [
+        (1.0, 5e-324, 0.0),
+        (3.0, 1e-323, 0.0),
+        (4.189465174920426e-12, 1.5062745567398403e+297, 1.0),
+        (1e-300, 1e10, 0.0),
+    ])
+    def test_aperture_ratio_past_the_float_range(self, f, r, h):
+        # u_R = 0.5 R / f rounded to 0, and recollimation_parameters raised
+        # ZeroDivisionError; or it overflowed to inf, and the weight and the
+        # overlap were NaN
+        with pytest.raises(DomainError, match="0.5 aperture_radius / focal_length"):
+            ParabolicMirror(f, r, h)
+
+    def test_smallest_aperture_ratio(self):
+        # u_R = 5e-324: a weight of 0, and a refused overlap and re-collimation
+        mirror = ParabolicMirror(1.0, 1e-323)
+        assert mirror_weighted_solid_angle(mirror) == 0.0
+        with pytest.raises(DegenerateResultError):
+            overlap_eta(FLAT, mirror)
+        with pytest.raises(DegenerateResultError):
+            recollimation_parameters(mirror, FLAT)
 
     def test_pupil_amplitude_past_u_squared_overflow(self):
         # it returned NaN: 2u overflowed to inf and was divided by (1 + u^2)^2 = inf
@@ -1117,12 +1094,41 @@ def _grid(start, stop):
     return tuple(SweepRange(start, stop, 5).grid())
 
 
+def _profile(kind, waist):
+    return BeamProfile.doughnut(waist) if kind == "doughnut" else BeamProfile(kind=kind)
+
+
+# every float still, but weighted toward the positive lengths a design needs
+lengths = st.one_of(anything, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+# (kind, doughnut waist)
+profiles = (st.sampled_from(["flattop", "matched", "doughnut"]), lengths)
+
+# the design calls, whose values also lie in [0, 1]
+DESIGNS = {
+    "cone_weighted_solid_angle": (
+        lambda alpha, orientation: cone_weighted_solid_angle(ConeAperture(alpha, orientation)),
+        (anything, st.sampled_from(DipoleOrientation))),
+    "overlap_eta-cone": (
+        lambda alpha, kind, waist: overlap_eta(_profile(kind, waist), ConeAperture(alpha, AXIAL)),
+        (anything, *profiles)),
+    "overlap_eta-mirror": (
+        lambda f, r, h, kind, waist: overlap_eta(_profile(kind, waist), ParabolicMirror(f, r, h)),
+        (lengths,) * 3 + profiles),
+    "mirror_weighted_solid_angle": (
+        lambda f, r, h: mirror_weighted_solid_angle(ParabolicMirror(f, r, h)), (lengths,) * 3),
+    "recollimation_parameters": (
+        lambda f, r, h, kind, waist: recollimation_parameters(ParabolicMirror(f, r, h),
+                                                              _profile(kind, waist)),
+        (lengths,) * 3 + profiles),
+}
+
 TOTAL = {
     "ParabolicMirror": (_mirror, (anything,) * 3),
     "doughnut": (lambda waist: BeamProfile.doughnut(waist).waist, (anything,)),
     "parabola_ray_map": (parabola_ray_map, (anything, mirrors)),
     "pupil_dipole_profile": (pupil_dipole_profile, (anything, mirrors)),
     "SweepRange": (_grid, (anything, anything)),
+    **DESIGNS,
 }
 
 
@@ -1130,7 +1136,8 @@ TOTAL = {
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_finite_or_refused(name, data):
-    """A finite value, or an AtomPhaseError subclass, for every float."""
+    """A finite value, or an AtomPhaseError subclass, for every float; a
+    design call's values also lie in [0, 1]."""
     func, strategies = TOTAL[name]
     args = [data.draw(strategy) for strategy in strategies]
     try:
@@ -1139,15 +1146,15 @@ def test_finite_or_refused(name, data):
         return
     values = value if isinstance(value, tuple) else (value,)
     assert all(map(math.isfinite, values)), (args, value)
+    if name in DESIGNS:
+        assert all(0.0 <= v <= 1.0 for v in values), (args, value)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: ConeAperture(1.0, "axial"), "orientation must be a DipoleOrientation"),
     (lambda: BeamProfile(kind="custom"), "requires a callable"),
-    (lambda: overlap_eta(FLAT, ConeAperture(1.0, AXIAL), (0.5, 4.0)), "angular region"),
     (lambda: overlap_eta(FLAT, "mirror"), "geometry must be"),
-], ids=["string-orientation", "custom-without-callable", "cone-region-past-pi",
-        "not-a-geometry"])
+], ids=["string-orientation", "custom-without-callable", "not-a-geometry"])
 def test_refusals(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -29,7 +29,6 @@ from atomphase import (
     kerr_phase,
     kerr_relative_error,
     optimize_waist,
-    overlap_eta,
     parabola_ray_map,
     phase_asymmetric,
     phase_symmetric,
@@ -47,7 +46,6 @@ B = 10**400   # an int past the float range
 C = SymmetricCoupling(0.9, 0.9)
 AC = AsymmetricCoupling(0.94, 0.98, 0.88, 0.99, 0.97)
 M = ParabolicMirror(1.0, 4.0, 0.2)
-FLAT = BeamProfile.flat_top()
 
 # each raised OverflowError or TypeError, or returned, before the one rule
 REFUSED = {
@@ -70,7 +68,6 @@ REFUSED = {
     "doughnut": lambda: BeamProfile.doughnut(B),
     "parabola_ray_map": lambda: parabola_ray_map(B, M),
     "pupil_dipole_profile": lambda: pupil_dipole_profile(B, M),
-    "overlap_eta-region": lambda: overlap_eta(FLAT, M, (0, B)),
     "optimize_waist-rel_tol": lambda: optimize_waist(M, rel_tol=B),
     "optimize_waist-bracket": lambda: optimize_waist(M, bracket=(1, B)),
     "SweepRange": lambda: SweepRange(0, B, 5),
