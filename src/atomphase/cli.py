@@ -276,7 +276,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             # fail again: what is left goes to the null device
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -167,7 +167,14 @@ def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
     dipole norm on [u_h, u_R].
     """
     f = mirror.focal_length
-    return 3.0 * _dipole_norm(0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f)
+    return _dipole_weight(_dipole_norm(0.5 * mirror.hole_radius / f,
+                                       0.5 * mirror.aperture_radius / f))
+
+
+def _dipole_weight(dip2: float) -> float:
+    # three times the dipole norm, bounded by 1 as eta and p are: past
+    # u ~ 1e4 the norm's head rounds up to just above its supremum 1/3
+    return min(3.0 * dip2, 1.0)
 
 
 def _pupil_dipole(u: float) -> float:
@@ -734,7 +741,7 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     p = min(power_kept / power_in, 1.0)
 
     eta_prime = _overlap_from_integrals(cross, power_kept, dip2)
-    return Recollimation(omega_n_prime=3.0 * dip2, eta_prime=eta_prime, p=p)
+    return Recollimation(omega_n_prime=_dipole_weight(dip2), eta_prime=eta_prime, p=p)
 
 
 class WaistOptimum(NamedTuple):

@@ -275,8 +275,8 @@ def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> 
 
     at the same detuned saturation parameter s.  The error vanishes as
     s -> 0 and grows monotonically with drive strength.  Raises
-    UndefinedRatioError when the reference phase is zero and PoleError when
-    either denominator vanishes.
+    UndefinedRatioError when the reference phase is zero, PoleError when
+    either denominator vanishes, and DomainError when the ratio overflows.
     """
     _check_real("s", s, lo=0.0)
     _check_real("delta", delta)
@@ -291,7 +291,8 @@ def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> 
         raise UndefinedRatioError(
             "the reference phase vanishes; the relative error is undefined")
     approx = _kerr_phase(kerr_linear_phase(coupling, delta), s)
-    return abs(reference - approx) / abs(reference)
+    return _check_finite_result("the relative error |phi - phi_kerr| / |phi|",
+                                abs(reference - approx) / abs(reference))
 
 
 def repeater_margin(phi: float, coherent_amplitude: float) -> float:

@@ -14,15 +14,19 @@ from scipy.optimize import minimize_scalar
 from atomphase import atom as atom_module
 from atomphase import (
     FULL_DIPOLE_SOLID_ANGLE,
+    AsymmetricCoupling,
     AtomPhaseError,
     AtomTransition,
     DomainError,
     SymmetricCoupling,
     coherent_fraction,
+    dispersive_phase_arctan,
     evaluate_point,
     excited_state_population,
     kerr_linear_phase,
     kerr_phase,
+    kerr_relative_error,
+    phase_asymmetric,
     phase_symmetric,
     physical_to_normalized,
     repeater_margin,
@@ -338,6 +342,10 @@ def _phase(*args):
     return phase_symmetric(*args).phi
 
 
+def _phase_asymmetric(*args):
+    return phase_asymmetric(*args).phi
+
+
 def _coupling(omega_n, eta):
     coupling = SymmetricCoupling(omega_n, eta)
     return coupling.omega_n, coupling.eta
@@ -360,6 +368,12 @@ TOTAL = {
     "phase_symmetric": (_phase, (st.builds(SymmetricCoupling, unit, unit), anything, anything)),
     "kerr_linear_phase": (kerr_linear_phase, (st.builds(SymmetricCoupling, unit, unit),
                                               anything)),
+    "kerr_relative_error": (kerr_relative_error, (st.builds(SymmetricCoupling, unit, unit),
+                                                  anything, anything)),
+    "phase_asymmetric": (_phase_asymmetric, (st.builds(AsymmetricCoupling, *(unit,) * 5),
+                                             anything, anything)),
+    "dispersive_phase_arctan": (dispersive_phase_arctan, (
+        st.builds(SymmetricCoupling, unit, unit), anything, anything)),
     "excited_state_population": (excited_state_population, (anything,)),
     "coherent_fraction": (coherent_fraction, (anything,)),
     "steady_state_coherence": (_coherence, (anything,) * 3),

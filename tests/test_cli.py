@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import atomphase
 from atomphase import (
     AsymmetricCoupling,
     ConeAperture,
@@ -579,7 +581,46 @@ class TestStrictJson:
         assert code == 1 and out == "" and err.startswith("error: ")
 
 
+# a child that runs the function the `atomphase` script of [project.scripts] calls
+RUN = "import sys; from atomphase.__main__ import run; sys.exit(run())"
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(atomphase.__file__)))
+
+
+def child(*argv):
+    """A fresh interpreter on this tree's package, its output as bytes."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+
+
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv, status", [
+        (EVAL + ("--model", "symmetric"), 0),
+        (("eval", "--model", "symmetric", "--omega-n", "1.5", "--eta", "1",
+          "--delta", "0", "--s0", "0"), 1),
+        (("eval", "--model", "symmetric"), 2),
+    ], ids=["eval", "domain-error", "usage-error"])
+    def test_module_and_run_agree(self, argv, status):
+        module = child("-m", "atomphase", *argv)
+        script = child("-c", RUN, *argv)
+        assert module.returncode == script.returncode == status
+        assert module.stdout == script.stdout
+        assert module.stderr == script.stderr
+        assert b"Traceback" not in module.stderr
+        assert (module.stdout == b"") == (status != 0)
+
+    def test_run_leaves_the_collector_on_and_the_imports_frozen(self):
+        code = ("import gc, sys; from atomphase.__main__ import run; status = run(); "
+                "print(gc.isenabled(), gc.get_freeze_count() > 0, status)")
+        result = child("-c", code, *EVAL, "--model", "symmetric")
+        assert result.returncode == 0 and result.stderr == b""
+        assert result.stdout.splitlines()[-1] == b"True True 0"
+
+    def test_main_in_process_leaves_the_collector_alone(self, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, *EVAL, "--model", "symmetric")
+        assert code == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "atomphase", "eval", "--model", "symmetric",

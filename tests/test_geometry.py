@@ -195,6 +195,14 @@ class TestMirrorSolidAngle:
                                  hole_radius=2.0 * (1.0 - 1e-9))
         assert mirror_weighted_solid_angle(mirror) < 1e-8
 
+    @pytest.mark.parametrize("f, r", [(139549.0, 45855225209822.0),
+                                      (1.4089975067801937e+29, 5.496243435736954e+34)])
+    def test_hole_free_weight_is_at_most_one(self, f, r):
+        # both were 1.0000000000000002: the dipole norm's head rounds above 1/3
+        mirror = ParabolicMirror(f, r)
+        assert mirror_weighted_solid_angle(mirror) == 1.0
+        assert recollimation_parameters(mirror, FLAT).omega_n_prime == 1.0
+
     def test_deep_mirror(self):
         mirror = ParabolicMirror(focal_length=1.0, aperture_radius=20.0,
                                  hole_radius=0.4)

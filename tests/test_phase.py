@@ -405,7 +405,10 @@ class TestScalarTotality:
         (repeater_margin, (math.nan, 1.0)),
         (repeater_margin, (1.0, math.inf)),
         (repeater_margin, (1e308, 1e308)),
-    ], ids=["kerr-overflow", "scattered-nan", "margin-nan", "margin-inf", "margin-overflow"])
+        # the reference phase is ~1e-185 and the linear form ~1e123
+        (kerr_relative_error, (SymmetricCoupling(1.0, 1.0), 1.0, 1.5e123)),
+    ], ids=["kerr-overflow", "scattered-nan", "margin-nan", "margin-inf", "margin-overflow",
+            "kerr-error-overflow"])
     def test_non_finite_value_is_domain_error(self, func, args):
         with pytest.raises(DomainError):
             func(*args)
