@@ -29,10 +29,13 @@ in closed form: the dipole norm on pupils and cones (which also gives the
 weights omega_n), the flat-top and dipole-matched powers and cross terms,
 the doughnut power, and the doughnut cross terms through the exponential
 integral E1.  A cone's weights and overlaps are the sin^k antiderivatives
-from the axis, read at its half-angle.  The one exception is a pupil
-interval narrower than 1e-3 of its outer end, where two antiderivatives
-would cancel: there a fixed 8-point Gauss-Legendre rule integrates the
-densities.  Adaptive quadrature remains only for custom profiles.
+from the axis, read at its half-angle.  On a pupil interval the dipole
+norm, the flat-top cross term and the doughnut power are divided
+differences (the width factored out of the difference of antiderivatives),
+which do not cancel on narrow intervals.  The doughnut cross term
+differences two tails; below 1e-3 of its outer end, where they would
+cancel, an 8-point Gauss-Legendre rule integrates its density.  Adaptive
+quadrature remains only for custom profiles.
 
 Each public call evaluates each distinct integral once.  A matched
 profile's cross term and power are its dipole norm.  The re-collimated
@@ -172,8 +175,8 @@ def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
 
 
 def _dipole_weight(dip2: float) -> float:
-    # three times the dipole norm, bounded by 1 as eta and p are: past
-    # u ~ 1e4 the norm's head rounds up to just above its supremum 1/3
+    # three times the dipole norm, bounded by 1 as eta and p are, so that no
+    # rounding of a hole-free norm near its supremum 1/3 can pass it
     return min(3.0 * dip2, 1.0)
 
 
@@ -269,35 +272,23 @@ def _horner(coeffs: Tuple[float, ...], x: float) -> float:
     return acc
 
 
-# Taylor coefficients for the antiderivatives below whose two elementary
-# terms cancel near the origin.  Below each cut-off the truncated series is
-# exact to ~1e-16 relative; above it the direct form loses < 200 ulp.
-_ATAN_GAP_SERIES = tuple((-1) ** k * (k + 1) / (2 * k + 3) for k in range(8))
+# Taylor coefficients for the closed forms below whose elementary terms
+# cancel near the origin.  Below each cut-off the truncated series is
+# exact to ~1e-17 relative; above it the direct form loses < 40 ulp.
+_ATAN_GAP_SERIES = tuple((-1) ** (k + 1) / (2 * k + 3) for k in range(16))
 _X_MINUS_SIN_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9))
-_RING_SERIES = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(10))
+_RING_SERIES = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(16))
 
 
-def _span(head: Callable[[float], float], tail: Callable[[float], float],
-          a: float, b: float) -> float:
-    # Integral over [a, b] from head (integral from 0) or tail (integral to
-    # infinity), whichever is the small difference on this side of 1, so
-    # that neither cancels.
-    if a >= 1.0:
-        return tail(a) - tail(b)
-    return head(b) - head(a)
-
-
-# On a pupil interval [lo, hi] with hi - lo <= _NARROW * hi, the two
-# antiderivatives a span subtracts nearly cancel: the difference loses up to
+# On a pupil interval [lo, hi] with hi - lo <= _NARROW * hi, the two tails
+# the doughnut cross term subtracts nearly cancel: the difference loses up to
 # ~1/_NARROW of its precision, and at widths of a few ulp it is rounding
-# noise (a mirror with h -> 2f or R -> 2f keeps such a ring, and its overlap
-# came out negative).  There the preset densities are integrated directly,
-# in u, by the 8-point Gauss-Legendre rule, not by quad, which only custom
-# profiles need.  Across such an interval each density changes by less than
-# a factor e^1.5 (a doughnut whose power does not underflow has
-# (b u)^2 < 372), where the rule is exact to ~1e-19.  Its weights are
-# positive, so Cauchy-Schwarz still bounds the overlap by 1, and the width
-# factor cancels from it.
+# noise (a mirror with h -> 2f or R -> 2f keeps such a ring).  There its
+# density is integrated directly, in u, by the 8-point Gauss-Legendre rule,
+# not by quad, which only custom profiles need.  Across such an interval the
+# density changes by less than a factor e^1.5 (a doughnut whose power does
+# not underflow has (b u)^2 < 372), where the rule is exact to ~1e-19.  Its
+# weights are positive, so Cauchy-Schwarz still bounds the overlap by 1.
 _NARROW = 1e-3
 _GAUSS_LEGENDRE_8 = (   # (node, weight); the rule uses each node at +-x
     (0.1834346424956498, 0.362683783378362),
@@ -313,54 +304,74 @@ def _gauss_legendre(density: Callable[[float], float], lo: float, hi: float) -> 
                       for x, w in _GAUSS_LEGENDRE_8)
 
 
-# Pupil antiderivatives in u = d / 2f.  Under the involution u -> 1/u the
-# tail integral from u to infinity of each density is the head integral to
-# 1/u of a partner density: the dipole norm is its own partner, and the
-# flat-top cross term density 2 s^2 / (1 + s^2)^2 has partner 2 / (1 + s^2)^2.
+# Pupil integrals in u = d / 2f as divided differences.  Each preset density
+# has an elementary antiderivative, but its values at the two ends cancel on
+# a narrow interval; with the width h = x2 - x1 factored out of their
+# difference, what is left is a sum of terms that do not cancel.  Past u = 1
+# the integral is taken in r = 1/u: the dipole norm density is its own
+# partner there, and the flat-top cross density 2 s^2 / (1 + s^2)^2 has
+# partner 2 / (1 + s^2)^2, so every form runs on [0, 1], where no power
+# overflows.  The width in r is (u2 - u1) / u1 / u2 from the original ends:
+# the difference of the rounded reciprocals would lose it.
 
-def _dipole_norm_head(u: float) -> float:
-    # int_0^u 4 s^3 / (1 + s^2)^4 ds, the density of A^2 u du; past u = 1
-    # the same ratio in r = 1/u^2, whose powers cannot overflow
-    t = u * u
-    if t > 1.0:
-        r = 1.0 / t
-        return (1.0 + 3.0 * r) / (3.0 * (1.0 + r) ** 3)
-    return t * t * (t + 3.0) / (3.0 * (1.0 + t) ** 3)
-
-
-def _flat_cross_head(u: float) -> float:
-    # int_0^u 2 s^2 / (1 + s^2)^2 ds = atan u - u / (1 + u^2)
-    if u < 0.1:
-        t = u * u
-        return 2.0 * u * t * _horner(_ATAN_GAP_SERIES, t)
-    return math.atan(u) - u / (1.0 + u * u)
+def _split_at_one(inner: Callable[..., float], outer: Callable[..., float],
+                  lo: float, hi: float) -> float:
+    # inner(x1, x2, h = x2 - x1) on the part of [lo, hi] below 1, plus outer
+    # in r on the part above it
+    if hi <= 1.0:
+        return inner(lo, hi, hi - lo)
+    if lo >= 1.0:
+        return outer(1.0 / hi, 1.0 / lo, (hi - lo) / lo / hi)
+    return inner(lo, 1.0, 1.0 - lo) + outer(1.0 / hi, 1.0, (hi - 1.0) / hi)
 
 
-def _flat_cross_partner_head(u: float) -> float:
-    # int_0^u 2 / (1 + s^2)^2 ds = atan u + u / (1 + u^2)
-    return math.atan(u) + u / (1.0 + u * u)
+def _dipole_norm_form(x1: float, x2: float, h: float) -> float:
+    # int 4 s^3 / (1 + s^2)^4 ds over [x1, x2], the density of A^2 u du: the
+    # difference of t^2 (t + 3) / (3 (1 + t)^3) between t = a = x1^2 and
+    # t = b = x2^2, with the factor b - a = h (x2 + x1) taken out of it
+    a, b = x1 * x1, x2 * x2
+    s, q = a + b, (1.0 + a) * (1.0 + b)
+    return h * (x2 + x1) * (s * (3.0 + s) + a * b * (8.0 + 3.0 * s)) / (3.0 * q * q * q)
 
 
-def _ring_head(x: float) -> float:
-    # int_0^x s^3 exp(-2 s^2) ds = (1 - (1 + y) exp(-y)) / 8 with y = 2 x^2
-    y = 2.0 * x * x
-    if y < 0.1:
-        return y * y * _horner(_RING_SERIES, y) / 8.0
-    return 0.125 - _ring_tail(x)
+def _flat_cross_form(x1: float, x2: float, h: float) -> float:
+    # int 2 s^2 / (1 + s^2)^2 ds, whose antiderivative is atan s - s / (1 + s^2):
+    # (atan z - z) + z (a + b + 2ab) / ((1 + a)(1 + b)), with z = h / (1 + x1 x2)
+    # and atan z - z, the one negative term, from its series below z = 0.3
+    a, b = x1 * x1, x2 * x2
+    z = h / (1.0 + x1 * x2)
+    gap = z * z * z * _horner(_ATAN_GAP_SERIES, z * z) if z < 0.3 else math.atan(z) - z
+    return gap + z * (a + b + 2.0 * a * b) / ((1.0 + a) * (1.0 + b))
 
 
-def _ring_tail(x: float) -> float:
-    # int_x^inf s^3 exp(-2 s^2) ds
-    y = 2.0 * x * x
-    decay = math.exp(-y)
-    return (1.0 + y) * decay / 8.0 if decay else 0.0
+def _flat_cross_partner_form(x1: float, x2: float, h: float) -> float:
+    # int 2 / (1 + s^2)^2 ds, whose antiderivative is atan s + s / (1 + s^2)
+    p = x1 * x2
+    return math.atan(h / (1.0 + p)) + h * (1.0 - p) / ((1.0 + x1 * x1) * (1.0 + x2 * x2))
 
 
 def _dipole_norm(lo: float, hi: float) -> float:
     """int A(u)^2 u du over [lo, hi]: the pupil dipole norm."""
-    if hi - lo <= _NARROW * hi:
-        return _gauss_legendre(lambda u: _pupil_dipole(u) ** 2 * u, lo, hi)
-    return _span(_dipole_norm_head, lambda u: _dipole_norm_head(1.0 / u), lo, hi)
+    return _split_at_one(_dipole_norm_form, _dipole_norm_form, lo, hi)
+
+
+def _ring_power(b: float, lo: float, hi: float) -> float:
+    # int (b u)^2 exp(-2 (b u)^2) u du over [lo, hi].  With y = 2 (b u)^2 it is
+    # e^-y1 [y1 (1 - e^-d) + 1 - (1 + d) e^-d] / (8 b^2), d = y2 - y1, where
+    # both terms are non-negative.  b^2 is divided out of each term before
+    # two small factors meet, and d is formed from the unscaled ends.
+    decay = math.exp(-2.0 * (b * lo) * (b * lo))
+    if not decay:
+        return 0.0
+    g = 2.0 * (hi - lo) * (hi + lo)   # d / b^2
+    d = g * b * b
+    if d < 0.5:
+        rest = g * d * _horner(_RING_SERIES, d)
+    else:
+        # (1 + d) e^-d is 0, not inf * 0, once e^-d underflows
+        e = math.exp(-d)
+        rest = (-math.expm1(-d) - d * e if e else 1.0) / b / b
+    return decay * (2.0 * lo * lo * -math.expm1(-d) + rest) / 8.0
 
 
 # Doughnut cross term.  With b = 2f/w, a = b^2 and t = u^2 it reduces to
@@ -557,11 +568,8 @@ def _pupil_power(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     if profile.kind == "matched":
         return _dipole_norm(lo, hi)
     if profile.kind == "doughnut":
-        # the beam is (b u) exp(-(b u)^2); b * b may be subnormal, so divide twice
-        b = _doughnut_b(profile, f)
-        if hi - lo <= _NARROW * hi:
-            return _gauss_legendre(lambda u: _doughnut_amplitude(b * u) ** 2 * u, lo, hi)
-        return _span(_ring_head, _ring_tail, b * lo, b * hi) / b / b
+        # the beam is (b u) exp(-(b u)^2) with b = 2f / w
+        return _ring_power(_doughnut_b(profile, f), lo, hi)
     # a custom amplitude takes d = f (2u), which unlike (2f) u cannot overflow
     beam = profile.func
     return _pupil_quad(lambda u: beam(f * (2.0 * u)) ** 2 * u, lo, hi)
@@ -571,9 +579,7 @@ def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     """int beam A u du over [lo, hi] for focal length f; not for a matched
     beam, whose cross term is its dipole norm (see ``_pupil_integrals``)."""
     if profile.kind == "flattop":
-        if hi - lo <= _NARROW * hi:
-            return _gauss_legendre(lambda u: _pupil_dipole(u) * u, lo, hi)
-        return _span(_flat_cross_head, lambda u: _flat_cross_partner_head(1.0 / u), lo, hi)
+        return _split_at_one(_flat_cross_form, _flat_cross_partner_form, lo, hi)
     if profile.kind == "doughnut":
         b = _doughnut_b(profile, f)
         if hi - lo <= _NARROW * hi:

@@ -18,8 +18,10 @@ from atomphase import (
     AtomPhaseError,
     AtomTransition,
     DomainError,
+    PhaseBranch,
     SymmetricCoupling,
     coherent_fraction,
+    critical_saturation,
     dispersive_phase_arctan,
     evaluate_point,
     excited_state_population,
@@ -30,6 +32,7 @@ from atomphase import (
     phase_symmetric,
     physical_to_normalized,
     repeater_margin,
+    resonance_branch,
     saturation_at_detuning,
     scattered_phase,
     scattered_power_ratio,
@@ -356,6 +359,26 @@ def _coherence(*args):
     return rho.real, rho.imag
 
 
+def _branch(*args):
+    return 0.0 if isinstance(resonance_branch(*args), PhaseBranch) else math.nan
+
+
+def _critical(*args):
+    # None: no drive reaches the pi branch
+    s_star = critical_saturation(*args)
+    return 0.0 if s_star is None else s_star
+
+
+def _row(model, *args):
+    # the numeric fields; the phase ones are None on a boundary row
+    row = evaluate_point(model, *args)
+    return tuple(v for v in (row.delta, row.s0, row.s, row.phi_rad, row.phi_deg,
+                             row.p_sc_over_p, row.coherent_fraction) if v is not None)
+
+
+symmetric = st.builds(SymmetricCoupling, unit, unit)
+
+
 TOTAL = {
     "AtomTransition": (partial(_transition, AtomTransition), (anything,) * 3),
     "from_dipole": (partial(_transition, AtomTransition.from_dipole), (anything,) * 2),
@@ -378,6 +401,14 @@ TOTAL = {
     "coherent_fraction": (coherent_fraction, (anything,)),
     "steady_state_coherence": (_coherence, (anything,) * 3),
     "SymmetricCoupling": (_coupling, (anything,) * 2),
+    "resonance_branch": (_branch, (symmetric, anything)),
+    "critical_saturation": (_critical, (symmetric,)),
+    "scattered_power_ratio": (scattered_power_ratio, (anything,) * 4),
+    "saturation_at_detuning": (saturation_at_detuning, (anything,) * 2),
+    **{f"evaluate_point-{model}": (partial(_row, model), (
+        coupling, anything, anything, st.booleans()))
+       for model, coupling in (("symmetric", symmetric), ("kerr", symmetric),
+                               ("asymmetric", st.builds(AsymmetricCoupling, *(unit,) * 5)))},
 }
 
 

@@ -5,7 +5,9 @@ parabola angle map against a literal ray-trace of the surface, and the
 pupil remap against ring-by-ring energy conservation.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,11 @@ from oracles import DipolePattern, pupil_amplitude
 
 AXIAL = DipoleOrientation.AXIAL
 TRANSVERSE = DipoleOrientation.TRANSVERSE
+
+# 60-digit values of the pupil integrals, made by tools/reference.py
+REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text(encoding="utf-8"))
+# the accuracy contract of the dipole norm and the flat-top cross term
+CONTRACT = 4e-15
 
 
 def quadrature_solid_angle(alpha, orientation):
@@ -882,6 +889,19 @@ class TestNarrowInterval:
     @pytest.mark.parametrize("profile", PROFILES, ids=["flattop", "matched", "doughnut-1.3",
                                                        "doughnut-0.2"])
     def test_rule_matches_closed_forms_at_the_cut(self, profile, monkeypatch):
+        if profile.kind != "doughnut":
+            # one form at every width: the reference rows at 0.5, 1 and 2
+            # times _NARROW * hi, on both sides of u = 1
+            rows = REFERENCE["cut"]
+            assert sorted({row[-1] for row in rows}) == [0.5, 1.0, 2.0]
+            for lo, hi, _, dip2, flat_cross, _, ratio in rows:
+                assert hi - lo == pytest.approx(ratio * geometry._NARROW * hi, rel=1e-9)
+                cross, _, norm = geometry._pupil_integrals(profile, 1.0, lo, hi)
+                want = flat_cross if profile.kind == "flattop" else dip2
+                assert abs(norm - dip2) <= CONTRACT * dip2, (lo, hi)
+                assert abs(cross - want) <= CONTRACT * want, (lo, hi)
+            return
+        # the doughnut cross term takes the rule below the cut
         regions = [(u, u * (1.0 + 0.999 * geometry._NARROW)) for u in (0.3, 1.0, 2.0)]
 
         def integrals():
@@ -971,14 +991,73 @@ class TestWeightReference:
             r, h = mirror.aperture_radius, mirror.hole_radius
             want = self.pupil_reference(mp, 0.5 * h, 0.5 * r)
             got = mirror_weighted_solid_angle(mirror)
-            assert abs(got - want) <= 1e-12 * want, (r, h, got, want)
+            assert abs(got - want) <= 4e-15 * want, (r, h, got, want)
             lo, hi = kept_interval(mirror)
             if lo < hi:
                 kept += 1
                 want = self.pupil_reference(mp, lo, hi)
                 got = recollimation_parameters(mirror, FLAT).omega_n_prime
-                assert abs(got - want) <= 1e-12 * want, (r, h, got, want)
+                assert abs(got - want) <= 4e-15 * want, (r, h, got, want)
         assert kept >= 200
+
+
+class TestPupilReference:
+    """Pupil integrals against ``reference.json``: 60-digit values of the
+    same float inputs (see ``tools/reference.py``)."""
+
+    INTERVALS = REFERENCE["intervals"]
+
+    def test_intervals_cover_the_contract(self):
+        rows = self.INTERVALS
+        assert len(rows) >= 1000
+        assert sum(hi <= 1.0 for _, hi, *_ in rows) >= 300
+        assert sum(lo >= 1.0 for lo, *_ in rows) >= 300
+        assert sum(lo < 1.0 < hi for lo, hi, *_ in rows) >= 200
+        assert min(math.log2((hi - lo) / math.ulp(hi)) for lo, hi, *_ in rows) <= 1.0
+        assert max((hi - lo) / hi for lo, hi, *_ in rows) == 1.0   # intervals from 0
+
+    def test_dipole_norm_and_flat_top_cross_term(self):
+        for lo, hi, _, dip2, flat_cross, _ in self.INTERVALS:
+            got = geometry._dipole_norm(lo, hi)
+            assert abs(got - dip2) <= CONTRACT * dip2, (lo, hi, got, dip2)
+            got = geometry._pupil_cross(FLAT, 1.0, lo, hi)
+            assert abs(got - flat_cross) <= CONTRACT * flat_cross, (lo, hi, got, flat_cross)
+
+    def test_doughnut_power(self):
+        # e^-y1 with y1 = 2 (b lo)^2 carries the rounding of y1, about
+        # y1 * 2^-53 relative, as every evaluation of the ring does
+        for lo, hi, b, _, _, power in self.INTERVALS:
+            got = geometry._ring_power(b, lo, hi)
+            bound = CONTRACT * max(1.0, 2.0 * (b * lo) ** 2)
+            assert abs(got - power) <= bound * power, (lo, hi, b, got, power)
+
+    def test_mirrors_are_the_golden_matrix(self):
+        from test_golden import MIRRORS
+        designs = {name: (f, r, h) for name, _, f, r, h, *_ in REFERENCE["mirrors"]}
+        assert {name: designs[name] for name in MIRRORS} == MIRRORS
+        # and the mirror whose kept interval is just past the rule's cut
+        assert designs.keys() - MIRRORS.keys() == {"kept-past-the-cut"}
+
+    def test_mirrors(self):
+        # The doughnut cross term still differences two tails of E1 on
+        # intervals wider than _NARROW * hi, which costs it up to ~1/_NARROW
+        # ulp just past the cut (1.3e-12 in eta_prime on kept-past-the-cut).
+        for name, kind, f, r, h, *want in REFERENCE["mirrors"]:
+            mirror = ParabolicMirror(f, r, h)
+            if kind.startswith("doughnut-"):
+                profile, tol = BeamProfile.doughnut(float(kind[9:]) * f), 2e-12
+            else:
+                profile, tol = {"flattop": FLAT, "matched": MATCHED}[kind], CONTRACT
+            got = [mirror_weighted_solid_angle(mirror), overlap_eta(profile, mirror)]
+            if want[2] is None:
+                with pytest.raises(DegenerateResultError):
+                    recollimation_parameters(mirror, profile)
+                want = want[:2]
+            else:
+                got += recollimation_parameters(mirror, profile)
+            assert abs(got[0] - want[0]) <= CONTRACT * want[0], (name, kind)
+            for value, exact in zip(got[1:], want[1:]):
+                assert abs(value - exact) <= tol * exact, (name, kind, got, want)
 
 
 def log_uniform(lo, hi):

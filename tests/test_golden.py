@@ -17,7 +17,10 @@ follow scipy's QUADPACK, whose version is not pinned.
 
 After a deliberate output change, rewrite the fixture with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --record
+
+Any other argument, or none, prints this usage to stderr, writes nothing
+and exits 2.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -207,7 +211,28 @@ def test_geometry_bytes(name, golden):
     assert digest(geometry_bytes(name)) == golden[name]
 
 
-if __name__ == "__main__":
+@pytest.mark.parametrize("argv", [["--help"], [], ["--record", "extra"]])
+def test_only_record_rewrites_the_fixture(argv):
+    before = FIXTURE.read_bytes()
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, __file__, *argv], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == "" and "--record" in result.stderr
+    assert FIXTURE.read_bytes() == before
+
+
+def main(argv):
+    if argv != ["--record"]:
+        sys.stderr.write("usage: python tests/test_golden.py --record\n"
+                         "rewrites tests/golden_sha256.json from the current code\n")
+        return 2
     FIXTURE.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
     sys.stdout.write(f"wrote {FIXTURE}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
