@@ -32,10 +32,15 @@ integral E1.  A cone's weights and overlaps are the sin^k antiderivatives
 from the axis, read at its half-angle.  On a pupil interval the dipole
 norm, the flat-top cross term and the doughnut power are divided
 differences (the width factored out of the difference of antiderivatives),
-which do not cancel on narrow intervals.  The doughnut cross term
-differences two tails; below 1e-3 of its outer end, where they would
-cancel, an 8-point Gauss-Legendre rule integrates its density.  Adaptive
-quadrature remains only for custom profiles.
+which do not cancel on narrow intervals.  The doughnut cross term, in
+t = u^2 on [t1, t1 + h], is a power series about its inner end where
+h <= (1 + t1) / 2 and a h <= 1 (a = (2f/w)^2), which differences nothing,
+and the difference of two E1 tails elsewhere.  Relative to 60-digit
+values it is within 4e-15 max(1, (b u1)^2, ln(1 / (a (1 + u1^2)))), with
+b = 2f/w: the first term is the rounding of the exponent (b u1)^2, the
+last the -ln x of E1's series that the tails cancel where x = a (1 + t)
+is small.  No preset integral uses a quadrature rule; adaptive quadrature
+remains only for custom profiles.
 
 Each public call evaluates each distinct integral once.  A matched
 profile's cross term and power are its dipole norm.  The re-collimated
@@ -280,30 +285,6 @@ _X_MINUS_SIN_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range
 _RING_SERIES = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(16))
 
 
-# On a pupil interval [lo, hi] with hi - lo <= _NARROW * hi, the two tails
-# the doughnut cross term subtracts nearly cancel: the difference loses up to
-# ~1/_NARROW of its precision, and at widths of a few ulp it is rounding
-# noise (a mirror with h -> 2f or R -> 2f keeps such a ring).  There its
-# density is integrated directly, in u, by the 8-point Gauss-Legendre rule,
-# not by quad, which only custom profiles need.  Across such an interval the
-# density changes by less than a factor e^1.5 (a doughnut whose power does
-# not underflow has (b u)^2 < 372), where the rule is exact to ~1e-19.  Its
-# weights are positive, so Cauchy-Schwarz still bounds the overlap by 1.
-_NARROW = 1e-3
-_GAUSS_LEGENDRE_8 = (   # (node, weight); the rule uses each node at +-x
-    (0.1834346424956498, 0.362683783378362),
-    (0.525532409916329, 0.31370664587788727),
-    (0.7966664774136267, 0.22238103445337448),
-    (0.9602898564975363, 0.10122853629037626),
-)
-
-
-def _gauss_legendre(density: Callable[[float], float], lo: float, hi: float) -> float:
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    return half * sum(w * (density(mid - half * x) + density(mid + half * x))
-                      for x, w in _GAUSS_LEGENDRE_8)
-
-
 # Pupil integrals in u = d / 2f as divided differences.  Each preset density
 # has an elementary antiderivative, but its values at the two ends cancel on
 # a narrow interval; with the width h = x2 - x1 factored out of their
@@ -381,13 +362,17 @@ def _ring_power(b: float, lo: float, hi: float) -> float:
 # the tail of the continued fraction S = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...))).
 # So no step forms e^a (which overflows past a = 709) or subtracts the two
 # nearly equal terms of the textbook antiderivative (which cancel for large
-# a).  Near t = 0 a power series gives the integral from 0.
+# a).  On an interval [t1, t1 + h] over which the density barely changes,
+# the two tails would cancel instead; there a power series about the inner
+# end sums the integral itself (see ``_doughnut_cross``).
 
 _EULER_GAMMA = 0.5772156649015329
 # E1(x) = -gamma - ln x + x * sum_k (-x)^k / ((k+1) (k+1)!), exact to ~1e-17 for x < 1
 _E1_SERIES = tuple((-1) ** k / ((k + 1) * math.factorial(k + 1)) for k in range(18))
-_DOUGHNUT_HEAD_CUT = 0.2
-_DOUGHNUT_HEAD_TERMS = 26   # (0.2)^26 e < 1e-17
+# The series about the inner end runs where h <= c / 2 and a h <= 1, with
+# c = 1 + t1; its terms fall like (n + 1) 2^-n, below 4e-18 at n = 64.
+_INNER_SERIES_RATIO = 0.5
+_INNER_SERIES_TERMS = 64
 
 # BEGIN E1 FIT: generated by tools/fit_e1.py, do not edit
 # Q on [_E1_FIT_LO, _E1_FIT_HI): row e + 1 holds the coefficients in
@@ -518,20 +503,6 @@ def _doughnut_tail(t: float, a: float) -> float:
     return decay * (t + q) * s / (1.0 + t)
 
 
-def _doughnut_head(t: float, a: float) -> float:
-    # int_0^t s e^{-as} / (1+s)^2 ds = t^2 sum_n c_n t^n / (n + 2), where
-    # (1+s)^2 sum_n c_n s^n = e^{-as}; the loop carries c_n t^n
-    term = 1.0                  # (-at)^n / n!
-    c1 = c2 = total = 0.0
-    for n in range(_DOUGHNUT_HEAD_TERMS):
-        if n:
-            term *= -a * t / n
-        c = term - 2.0 * t * c1 - t * t * c2
-        total += c / (n + 2)
-        c1, c2 = c, c1
-    return t * t * total
-
-
 def _doughnut_b(profile: BeamProfile, f: float) -> float:
     # b = 2f / w, the inverse waist in units of 2f; f / w never divides by 0
     b = 2.0 * (f / profile.waist)
@@ -542,23 +513,30 @@ def _doughnut_b(profile: BeamProfile, f: float) -> float:
     return b
 
 
-def _doughnut_amplitude(x: float) -> float:
-    # the doughnut beam x exp(-x^2) at x = b u; 0, not NaN, once x * x overflows
-    decay = math.exp(-x * x)
-    return x * decay if decay else 0.0
-
-
-def _doughnut_cross(b: float, t1: float, t2: float) -> float:
-    """b int_{t1}^{t2} s e^{-as} / (1+s)^2 ds with a = b^2."""
+def _doughnut_cross(b: float, lo: float, hi: float) -> float:
+    """b int s e^{-as} / (1+s)^2 ds over [lo^2, hi^2], with a = b^2."""
     a = b * b
-    # Below the cut the series sums the integral from 0 without cancellation.
-    # Above it the tails are differenced; on the narrowest intervals just
-    # past the cut that costs up to a few hundred ulp.
-    if t2 * max(a, 1.0) < _DOUGHNUT_HEAD_CUT:
-        integral = _doughnut_head(t2, a) - _doughnut_head(t1, a)
-    else:
-        integral = _doughnut_tail(t1, a) - _doughnut_tail(t2, a)
-    return b * integral
+    t1 = lo * lo
+    c = 1.0 + t1
+    h = (hi - lo) * (hi + lo)   # t2 - t1, from the unscaled ends
+    # the tails also take a ring whose t1 overflows, where both are 0
+    if not (h <= _INNER_SERIES_RATIO * c < math.inf and a * h <= 1.0):
+        return b * (_doughnut_tail(t1, a) - _doughnut_tail(hi * hi, a))
+    # In r = s - t1 the integral is e^{-a t1} int_0^h (t1 + r) sum_n c_n r^n dr,
+    # where (c + r)^2 sum_n c_n r^n = e^{-ar}.  The loop carries
+    # C_n = c^2 c_n h^n, so C_0 = 1, and sums C_n [tau / (n+1) + z / (n+2)]
+    # with tau = t1 / c and z = h / c: nothing is differenced.
+    tau, z = t1 / c, h / c
+    term = 1.0                  # (-ah)^n / n!
+    c1 = c2 = total = 0.0
+    for n in range(_INNER_SERIES_TERMS):
+        if n:
+            term *= -a * h / n
+        cn = term - z * (2.0 * c1 + z * c2)
+        total += cn * (tau / (n + 1) + z / (n + 2))
+        c1, c2 = cn, c1
+    x = b * lo
+    return b * math.exp(-x * x) * z * total
 
 
 def _pupil_power(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
@@ -581,11 +559,7 @@ def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     if profile.kind == "flattop":
         return _split_at_one(_flat_cross_form, _flat_cross_partner_form, lo, hi)
     if profile.kind == "doughnut":
-        b = _doughnut_b(profile, f)
-        if hi - lo <= _NARROW * hi:
-            return _gauss_legendre(
-                lambda u: _doughnut_amplitude(b * u) * _pupil_dipole(u) * u, lo, hi)
-        return _doughnut_cross(b, lo * lo, hi * hi)
+        return _doughnut_cross(_doughnut_b(profile, f), lo, hi)
     beam = profile.func
     return _pupil_quad(lambda u: beam(f * (2.0 * u)) * _pupil_dipole(u) * u, lo, hi)
 
@@ -773,7 +747,8 @@ def _brent_max(
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
-        tol = max(0.25 * rel_tol, _EPS) * x
+        # one ulp of x at least, also where _EPS * x underflows for a subnormal x
+        tol = max(max(0.25 * rel_tol, _EPS) * x, math.ulp(x))
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             return x, -gx
         golden = True

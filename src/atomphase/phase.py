@@ -1,8 +1,9 @@
 """Measurable phase of the superposition of incident and scattered light.
 
-The observable phase is the argument of a complex amplitude whose real and
-imaginary parts are returned alongside the angle, so callers can classify
-the on-resonance branch and unwrap across it.  For a symmetric setup
+The observable phase is the argument of a complex amplitude.  It is
+returned with its branch, which tells the resonant pi and zero cases from
+the generic one, so callers can unwrap across the on-resonance switch
+without the amplitude's parts.  For a symmetric setup
 (identical focusing and collection optics)
 
     phi = arg[(1+s)^(3/2) (1+4 delta^2) - 2 omega_n eta^2
@@ -92,16 +93,14 @@ class AsymmetricCoupling:
 
 @dataclass(frozen=True)
 class PhaseResult:
-    """Phase in (-pi, pi] plus the complex parts that produced it.
+    """Phase in (-pi, pi] and its branch.
 
-    phi equals atan2(imag_part, real_part) exactly; on the resonant pi
-    branch the sign convention reports +pi.
+    phi is atan2 of the amplitude's imaginary and real parts, exactly; on
+    the resonant pi branch the sign convention reports +pi.
     """
 
     phi: float
     branch: PhaseBranch
-    real_part: float
-    imag_part: float
 
 
 # Messages shared with the sweep kernel, which flags the same points.
@@ -161,8 +160,7 @@ def _assemble(real: float, imag: float) -> PhaseResult:
     branch = _BRANCHES[_branch_code(real, imag)]
     if branch is PhaseBranch.BOUNDARY:
         raise DegenerateResultError(NULL_FIELD_MESSAGE)
-    return PhaseResult(phi=math.atan2(imag, real), branch=branch,
-                       real_part=real, imag_part=imag)
+    return PhaseResult(phi=math.atan2(imag, real), branch=branch)
 
 
 def phase_symmetric(coupling: SymmetricCoupling, delta: float, s0: float) -> PhaseResult:

@@ -81,29 +81,38 @@ def _assemble(real, imag):
         branch = PhaseBranch.PI if real < 0.0 else PhaseBranch.ZERO
     else:
         branch = PhaseBranch.GENERIC
-    return PhaseResult(phi=math.atan2(imag, real), branch=branch,
-                       real_part=real, imag_part=imag)
+    return PhaseResult(phi=math.atan2(imag, real), branch=branch)
 
 
-def phase_symmetric(coupling, delta, s0):
+def symmetric_parts(coupling, delta, s0):
+    """(real, imag) of the symmetric amplitude whose argument is the phase."""
     lorentz = 1.0 + 4.0 * delta * delta
     s = s0 / lorentz
     weight = 2.0 * coupling.omega_n * coupling.eta**2
     real = (1.0 + s) ** 1.5 * lorentz - weight
     imag = -2.0 * weight * delta
-    return _assemble(real, imag)
+    return real, imag
 
 
-def phase_asymmetric(coupling, delta, s0):
-    if coupling.p == 0:
-        raise DomainError("p = 0")
+def asymmetric_parts(coupling, delta, s0):
+    """(real, imag) of the asymmetric amplitude whose argument is the phase."""
     lorentz = 1.0 + 4.0 * delta * delta
     s = s0 / lorentz
     cross = (2.0 * math.sqrt(coupling.omega_n * coupling.omega_n_prime)
              * coupling.eta * coupling.eta_prime)
     real = math.sqrt(coupling.p) * (1.0 + s) ** 1.5 * lorentz - cross
     imag = -2.0 * cross * delta
-    return _assemble(real, imag)
+    return real, imag
+
+
+def phase_symmetric(coupling, delta, s0):
+    return _assemble(*symmetric_parts(coupling, delta, s0))
+
+
+def phase_asymmetric(coupling, delta, s0):
+    if coupling.p == 0:
+        raise DomainError("p = 0")
+    return _assemble(*asymmetric_parts(coupling, delta, s0))
 
 
 def resonance_branch(coupling, s0):

@@ -1,6 +1,7 @@
 """Unit and property tests for the driven two-level-atom response."""
 
 import cmath
+import json
 import math
 from functools import partial
 
@@ -19,6 +20,8 @@ from atomphase import (
     AtomTransition,
     DomainError,
     PhaseBranch,
+    SweepRange,
+    SweepSpec,
     SymmetricCoupling,
     coherent_fraction,
     critical_saturation,
@@ -37,6 +40,7 @@ from atomphase import (
     scattered_phase,
     scattered_power_ratio,
     steady_state_coherence,
+    write_sweep,
 )
 
 OMEGA0 = 2.0 * math.pi * 384.23e12  # rad/s, optical-frequency scale
@@ -341,7 +345,6 @@ def _transition(make, *args):
 
 
 def _phase(*args):
-    # the phase; its real part may overflow where the phase tends to 0
     return phase_symmetric(*args).phi
 
 
@@ -379,6 +382,36 @@ def _row(model, *args):
 symmetric = st.builds(SymmetricCoupling, unit, unit)
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def _written(model, coupling, var, start, stop, delta, drive, fmt):
+    # a 5-point sweep written as CSV or strict JSON; the numbers in it
+    fixed = {} if var == "delta" else {"delta": delta}
+    if var not in ("s0", "s"):
+        fixed["s0"] = drive
+    spec = SweepSpec(model, coupling, var, SweepRange(start, stop, 5), fixed)
+    chunks = []
+    write_sweep(spec, chunks.append, fmt)
+    text = "".join(chunks)
+    if fmt == "json":
+        rows = json.loads(text, parse_constant=_refuse_constant)
+        assert len(rows) == 5
+        return tuple(v for row in rows for v in row.values() if isinstance(v, float))
+    lines = text.splitlines()[1:]
+    assert len(lines) == 5
+    cells = [cell for line in lines for cell in line.split(",")]
+    # every cell but the branch and model names is a number or empty
+    names = {branch.value for branch in PhaseBranch} | {model}
+    return tuple(float(cell) for cell in cells if cell and cell not in names)
+
+
+asymmetric = st.builds(AsymmetricCoupling, *(unit,) * 5)
+# every float still, but weighted toward the values a sweep accepts
+drives = st.one_of(anything, st.floats(-100.0, 100.0))
+
+
 TOTAL = {
     "AtomTransition": (partial(_transition, AtomTransition), (anything,) * 3),
     "from_dipole": (partial(_transition, AtomTransition.from_dipole), (anything,) * 2),
@@ -408,7 +441,12 @@ TOTAL = {
     **{f"evaluate_point-{model}": (partial(_row, model), (
         coupling, anything, anything, st.booleans()))
        for model, coupling in (("symmetric", symmetric), ("kerr", symmetric),
-                               ("asymmetric", st.builds(AsymmetricCoupling, *(unit,) * 5)))},
+                               ("asymmetric", asymmetric))},
+    **{f"write_sweep-{model}": (partial(_written, model), (
+        coupling, st.sampled_from(["delta", "s0", "s", "omega_n", "eta"]), *(drives,) * 4,
+        st.sampled_from(["csv", "json"])))
+       for model, coupling in (("symmetric", symmetric), ("kerr", symmetric),
+                               ("asymmetric", asymmetric))},
 }
 
 

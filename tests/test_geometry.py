@@ -45,6 +45,19 @@ REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text(enco
 CONTRACT = 4e-15
 
 
+def ring_power_bound(b, lo):
+    # e^-y1 with y1 = 2 (b lo)^2 carries the rounding of y1, about
+    # y1 * 2^-53 relative, as every evaluation of the ring does
+    return CONTRACT * max(1.0, 2.0 * (b * lo) ** 2)
+
+
+def doughnut_cross_bound(b, lo):
+    # e^-(b lo)^2 carries the rounding of its exponent as the ring power's
+    # does; and where x = a (1 + t1) is small, the -ln x of E1's series
+    # cancels between the two tails
+    return CONTRACT * max(1.0, (b * lo) ** 2, -math.log(b * b * (1.0 + lo * lo)))
+
+
 def quadrature_solid_angle(alpha, orientation):
     """Independent oracle: adaptive 2-D quadrature of the weighted pattern."""
     pattern = DipolePattern(orientation)
@@ -888,29 +901,29 @@ class TestNarrowInterval:
 
     @pytest.mark.parametrize("profile", PROFILES, ids=["flattop", "matched", "doughnut-1.3",
                                                        "doughnut-0.2"])
-    def test_rule_matches_closed_forms_at_the_cut(self, profile, monkeypatch):
-        if profile.kind != "doughnut":
-            # one form at every width: the reference rows at 0.5, 1 and 2
-            # times _NARROW * hi, on both sides of u = 1
-            rows = REFERENCE["cut"]
-            assert sorted({row[-1] for row in rows}) == [0.5, 1.0, 2.0]
-            for lo, hi, _, dip2, flat_cross, _, ratio in rows:
-                assert hi - lo == pytest.approx(ratio * geometry._NARROW * hi, rel=1e-9)
-                cross, _, norm = geometry._pupil_integrals(profile, 1.0, lo, hi)
-                want = flat_cross if profile.kind == "flattop" else dip2
-                assert abs(norm - dip2) <= CONTRACT * dip2, (lo, hi)
-                assert abs(cross - want) <= CONTRACT * want, (lo, hi)
-            return
-        # the doughnut cross term takes the rule below the cut
-        regions = [(u, u * (1.0 + 0.999 * geometry._NARROW)) for u in (0.3, 1.0, 2.0)]
-
-        def integrals():
-            return [geometry._pupil_integrals(profile, 1.0, lo, hi) for lo, hi in regions]
-
-        ruled = integrals()
-        monkeypatch.setattr(geometry, "_NARROW", 0.0)
-        for got, want in zip(ruled, integrals()):
-            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+    def test_rule_matches_closed_forms_at_the_cut(self, profile):
+        # One form per integral at every width: the reference rows at 0.5, 1
+        # and 2 times each edge of the doughnut cross term's series about the
+        # inner end, h = c / 2 and a h = 1, starting on both sides of u = 1.
+        rows = REFERENCE["series_boundary"]
+        assert {(edge, k) for *_, edge, k in rows} == {
+            (edge, k) for edge in ("h/c", "a*h") for k in (0.5, 1.0, 2.0)}
+        for lo, hi, b, dip2, flat_cross, power, cross, edge, k in rows:
+            h, c = (hi - lo) * (hi + lo), 1.0 + lo * lo
+            ratio = h / (geometry._INNER_SERIES_RATIO * c) if edge == "h/c" else b * b * h
+            assert ratio == pytest.approx(k, rel=1e-9)
+            if profile.kind == "doughnut":
+                # b is a power of two, so b = 2 (f / w) exactly at f = (b / 2) w
+                f = 0.5 * b * profile.waist
+                assert geometry._doughnut_b(profile, f) == b
+                checks = [(0, cross, doughnut_cross_bound(b, lo)),
+                          (1, power, ring_power_bound(b, lo))]
+            else:
+                f = 1.0
+                checks = [(0, flat_cross if profile.kind == "flattop" else dip2, CONTRACT)]
+            got = geometry._pupil_integrals(profile, f, lo, hi)
+            for i, exact, bound in checks + [(2, dip2, CONTRACT)]:
+                assert abs(got[i] - exact) <= bound * exact, (edge, k, i, got[i], exact)
 
 
 class TestWeightReference:
@@ -1017,35 +1030,42 @@ class TestPupilReference:
         assert max((hi - lo) / hi for lo, hi, *_ in rows) == 1.0   # intervals from 0
 
     def test_dipole_norm_and_flat_top_cross_term(self):
-        for lo, hi, _, dip2, flat_cross, _ in self.INTERVALS:
+        for lo, hi, _, dip2, flat_cross, *_ in self.INTERVALS:
             got = geometry._dipole_norm(lo, hi)
             assert abs(got - dip2) <= CONTRACT * dip2, (lo, hi, got, dip2)
             got = geometry._pupil_cross(FLAT, 1.0, lo, hi)
             assert abs(got - flat_cross) <= CONTRACT * flat_cross, (lo, hi, got, flat_cross)
 
     def test_doughnut_power(self):
-        # e^-y1 with y1 = 2 (b lo)^2 carries the rounding of y1, about
-        # y1 * 2^-53 relative, as every evaluation of the ring does
-        for lo, hi, b, _, _, power in self.INTERVALS:
+        for lo, hi, b, _, _, power, _ in self.INTERVALS:
             got = geometry._ring_power(b, lo, hi)
-            bound = CONTRACT * max(1.0, 2.0 * (b * lo) ** 2)
-            assert abs(got - power) <= bound * power, (lo, hi, b, got, power)
+            assert abs(got - power) <= ring_power_bound(b, lo) * power, (lo, hi, b, got, power)
+
+    def test_doughnut_cross_term(self):
+        paths = {True: 0, False: 0}
+        for lo, hi, b, *_, cross in self.INTERVALS:
+            got = geometry._doughnut_cross(b, lo, hi)
+            assert abs(got - cross) <= doughnut_cross_bound(b, lo) * cross, (
+                lo, hi, b, got, cross)
+            h = (hi - lo) * (hi + lo)
+            paths[h <= geometry._INNER_SERIES_RATIO * (1.0 + lo * lo) and b * b * h <= 1.0] += 1
+        # both forms, the series about the inner end and the E1 tails
+        assert min(paths.values()) >= 100, paths
 
     def test_mirrors_are_the_golden_matrix(self):
         from test_golden import MIRRORS
         designs = {name: (f, r, h) for name, _, f, r, h, *_ in REFERENCE["mirrors"]}
         assert {name: designs[name] for name in MIRRORS} == MIRRORS
-        # and the mirror whose kept interval is just past the rule's cut
+        # and the mirror whose kept interval is 1.03e-3 of its end wide
         assert designs.keys() - MIRRORS.keys() == {"kept-past-the-cut"}
 
     def test_mirrors(self):
-        # The doughnut cross term still differences two tails of E1 on
-        # intervals wider than _NARROW * hi, which costs it up to ~1/_NARROW
-        # ulp just past the cut (1.3e-12 in eta_prime on kept-past-the-cut).
+        # The doughnut's p and eta_prime carry the rounding of the ring
+        # power's exponent 2 (b u)^2, up to 1.4e-14 on rim-to-2f at w = 0.3 f.
         for name, kind, f, r, h, *want in REFERENCE["mirrors"]:
             mirror = ParabolicMirror(f, r, h)
             if kind.startswith("doughnut-"):
-                profile, tol = BeamProfile.doughnut(float(kind[9:]) * f), 2e-12
+                profile, tol = BeamProfile.doughnut(float(kind[9:]) * f), 2e-14
             else:
                 profile, tol = {"flattop": FLAT, "matched": MATCHED}[kind], CONTRACT
             got = [mirror_weighted_solid_angle(mirror), overlap_eta(profile, mirror)]
@@ -1058,6 +1078,10 @@ class TestPupilReference:
             assert abs(got[0] - want[0]) <= CONTRACT * want[0], (name, kind)
             for value, exact in zip(got[1:], want[1:]):
                 assert abs(value - exact) <= tol * exact, (name, kind, got, want)
+            if name == "kept-past-the-cut":
+                # differencing the two E1 tails on its kept interval, 1.03e-3
+                # of its end wide, put eta_prime 1.35e-12 off at w = 5 f
+                assert abs(got[3] - want[3]) <= CONTRACT * want[3], (kind, got, want)
 
 
 def log_uniform(lo, hi):
@@ -1127,6 +1151,15 @@ class TestNonFiniteInputs:
             with pytest.raises(DomainError):
                 optimize_waist(mirror, bracket=bracket)
 
+    def test_subnormal_bracket(self):
+        # steps of rel_tol * x underflowed to 0 for a subnormal waist, and the
+        # search never ended
+        mirror = ParabolicMirror(5e-324, 1e-323)
+        best = optimize_waist(mirror, bracket=(5e-324, 1e-323))
+        assert best.waist in (5e-324, 1e-323) and 0.0 < best.eta <= 1.0
+        best = optimize_waist(ParabolicMirror(1e-310, 4e-310), bracket=(1e-311, 3e-309))
+        assert 1e-311 <= best.waist <= 3e-309 and 0.9 < best.eta <= 1.0
+
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-6])
     def test_waist_rel_tol(self, rel_tol):
         with pytest.raises(DomainError):
@@ -1181,6 +1214,13 @@ def _grid(start, stop):
     return tuple(SweepRange(start, stop, 5).grid())
 
 
+def _optimum(search):
+    f, r, h, lo, hi, rel_tol = search
+    best = optimize_waist(ParabolicMirror(f, r, h), bracket=(lo, hi), rel_tol=rel_tol)
+    assert lo <= best.waist <= hi and 0.0 <= best.eta <= 1.0, best
+    return best
+
+
 def _profile(kind, waist):
     return BeamProfile.doughnut(waist) if kind == "doughnut" else BeamProfile(kind=kind)
 
@@ -1189,6 +1229,16 @@ def _profile(kind, waist):
 lengths = st.one_of(anything, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 # (kind, doughnut waist)
 profiles = (st.sampled_from(["flattop", "matched", "doughnut"]), lengths)
+
+# (f, R, h, bracket start, bracket end, rel_tol): any six floats, or a search
+# that runs with at most one of them replaced by any float
+_running = st.tuples(log_uniform(1e-150, 1e150), st.floats(2.1, 6.0), st.floats(0.0, 1.8),
+                     st.floats(0.1, 1.0), st.floats(1.5, 20.0), log_uniform(1e-16, 1e-2)).map(
+    lambda v: (v[0], v[1] * v[0], v[2] * v[0], v[3] * v[0], v[4] * v[0], v[5]))
+searches = st.one_of(
+    st.tuples(*(lengths,) * 6),
+    st.tuples(_running, st.integers(0, 6), anything).map(
+        lambda t: t[0][:t[1]] + (t[2],) + t[0][t[1] + 1:] if t[1] < 6 else t[0]))
 
 # the design calls, whose values also lie in [0, 1]
 DESIGNS = {
@@ -1215,6 +1265,7 @@ TOTAL = {
     "parabola_ray_map": (parabola_ray_map, (anything, mirrors)),
     "pupil_dipole_profile": (pupil_dipole_profile, (anything, mirrors)),
     "SweepRange": (_grid, (anything, anything)),
+    "optimize_waist": (_optimum, (searches,)),
     **DESIGNS,
 }
 

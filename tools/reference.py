@@ -3,21 +3,26 @@
 Writes ``tests/reference.json``: 60-digit mpmath values, each rounded to
 the nearest float, of
 
-* the pupil dipole norm int A^2 u du, the flat-top cross term int A u du
-  and the doughnut ring power int (b u)^2 exp(-2 (b u)^2) u du on pupil
-  intervals [lo, hi] in u = d / 2f.  Seeded intervals have centres
-  log-uniform from 1e-4 to 1e4 and widths log-uniform from 1 ulp to 3
-  times the centre (cut at u = 0), on both sides of u = 1; more straddle
-  it.  The ``cut`` rows sit at u = 0.3, 1 and 2 with widths of 0.5, 1 and
-  2 times 1e-3 of their outer end, the width below which the doughnut
-  cross term switches to its Gauss-Legendre rule.  Each row carries its
-  own b, with b times the centre log-uniform from 1e-2 to 16, and a few
-  pinned rows have b down to 1e-150;
+* the pupil dipole norm int A^2 u du, the flat-top cross term int A u du,
+  the doughnut ring power int (b u)^2 exp(-2 (b u)^2) u du and the
+  doughnut cross term int (b u) exp(-(b u)^2) A u du on pupil intervals
+  [lo, hi] in u = d / 2f.  Seeded intervals have centres log-uniform from
+  1e-4 to 1e4 and widths log-uniform from 1 ulp to 3 times the centre
+  (cut at u = 0), on both sides of u = 1; more straddle it.  Each row
+  carries its own b, with b times the centre log-uniform from 1e-2 to 16,
+  and a few pinned rows have b down to 1e-150.  The ``series_boundary``
+  rows start at u = 0.3, 1 and 2 and sit at 0.5, 1 and 2 times each edge
+  of the doughnut cross term's series about the inner end, which runs
+  where h <= c / 2 and a h <= 1 (h = t2 - t1, c = 1 + t1, t = u^2,
+  a = b^2): at h / (c / 2) = k with b = 1/8, and at a h = k with b = 4.
+  Both b are powers of two, so b = 2 (f / w) at f = (b / 2) w for any
+  waist w;
 * omega_n, eta, and the re-collimation triple (omega_n_prime, eta_prime,
   p) of every mirror in the golden geometry matrix of
   ``tests/test_golden.py``, plus a mirror whose kept interval is 1.03e-3
-  of its outer end wide, just past the doughnut rule's cut, for the
-  flat-top, dipole-matched and doughnut profiles of that matrix.
+  of its outer end wide, where differencing the cross term's two E1 tails
+  once put eta_prime 1.35e-12 off, for the flat-top, dipole-matched and
+  doughnut profiles of that matrix.
 
 Every value is exact for the float inputs the library integrates: the
 pupil ends 0.5 h / f and 0.5 R / f, the kept interval's ends (one of them
@@ -56,7 +61,9 @@ DIGITS = 60
 SEED = 2013
 SEEDED = 1000           # intervals with log-uniform centres
 STRADDLING = 200        # intervals with lo < 1 < hi
-NARROW = 1e-3
+# the doughnut cross term's series runs where h <= SERIES_RATIO c and a h <= 1
+# (geometry._INNER_SERIES_RATIO)
+SERIES_RATIO = 0.5
 
 # the golden geometry matrix's mirrors, name: (f, R, h), and one more
 MIRRORS = {
@@ -73,7 +80,8 @@ MIRRORS = {
     "huge": (1.0, 1e8, 0.0),
     "huge-holed": (1.0, 1e8, 1.0),
 }
-# its kept interval is 1.03e-3 of its outer end wide
+# its kept interval is 1.03e-3 of its outer end wide, where the doughnut cross
+# term's two E1 tails agree to three digits
 EXTRA_MIRRORS = {"kept-past-the-cut": (1.0, 264771.2439068694, 1.9989720221612548)}
 # doughnut waists in units of f, as in the golden matrix
 WAISTS = (0.3, 1.3, 5.0)
@@ -185,14 +193,22 @@ def pinned_intervals():
     return rows
 
 
-def cut_intervals():
-    """(lo, hi, b, ratio) rows at 0.5, 1 and 2 times NARROW * hi."""
-    return [(u, u / (1.0 - k * NARROW), 1.0 / u, k)
-            for u in (0.3, 1.0, 2.0) for k in (0.5, 1.0, 2.0)]
+def boundary_intervals():
+    """(lo, hi, b, edge, k) rows at k = 0.5, 1 and 2 times each edge of the
+    doughnut cross term's series: h / (SERIES_RATIO c) = k with a h below
+    1/12, and a h = k with h / c below 1/8."""
+    rows = []
+    for u in (0.3, 1.0, 2.0):
+        for k in (0.5, 1.0, 2.0):
+            h = k * SERIES_RATIO * (1.0 + u * u)
+            rows.append((u, math.sqrt(u * u + h), 0.125, "h/c", k))
+            rows.append((u, math.sqrt(u * u + k / 16.0), 4.0, "a*h", k))
+    return rows
 
 
 def interval_row(lo, hi, b):
-    values = (dipole_norm(lo, hi), flat_cross(lo, hi), ring_power(b, lo, hi))
+    values = (dipole_norm(lo, hi), flat_cross(lo, hi), ring_power(b, lo, hi),
+              doughnut_cross(b, lo, hi))
     return [lo, hi, b] + [float(v) for v in values]
 
 
@@ -236,18 +252,19 @@ def dump(rows):
 
 def reference_json():
     intervals = [interval_row(*row) for row in seeded_intervals() + pinned_intervals()]
-    cut = [interval_row(lo, hi, b) + [k] for lo, hi, b, k in cut_intervals()]
+    boundary = [interval_row(lo, hi, b) + [edge, k]
+                for lo, hi, b, edge, k in boundary_intervals()]
     mirrors = [row for name, design in {**MIRRORS, **EXTRA_MIRRORS}.items()
                for row in mirror_rows(name, *design)]
     return ("{\n"
             f' "about": "{DIGITS}-digit mpmath values rounded to floats; made by '
             'tools/reference.py",\n'
             ' "intervals_columns": ["lo", "hi", "b", "dipole_norm", "flat_cross", '
-            '"ring_power"],\n'
+            '"ring_power", "doughnut_cross"],\n'
             ' "intervals": [\n' + dump(intervals) + "\n ],\n"
-            ' "cut_columns": ["lo", "hi", "b", "dipole_norm", "flat_cross", '
-            '"ring_power", "width_over_narrow_hi"],\n'
-            ' "cut": [\n' + dump(cut) + "\n ],\n"
+            ' "series_boundary_columns": ["lo", "hi", "b", "dipole_norm", "flat_cross", '
+            '"ring_power", "doughnut_cross", "edge", "ratio"],\n'
+            ' "series_boundary": [\n' + dump(boundary) + "\n ],\n"
             ' "mirrors_columns": ["name", "profile", "f", "R", "h", "omega_n", "eta", '
             '"omega_n_prime", "eta_prime", "p"],\n'
             ' "mirrors": [\n' + dump(mirrors) + "\n ]\n}\n")
