@@ -746,7 +746,7 @@ def _brent_max(
     gx = gw = gv = -fn(x)
     d = e = 0.0
     while True:
-        m = 0.5 * (a + b)
+        m = a + 0.5 * (b - a)  # 0.5 * (a + b) overflows past 2^1023
         # one ulp of x at least, also where _EPS * x underflows for a subnormal x
         tol = max(max(0.25 * rel_tol, _EPS) * x, math.ulp(x))
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):

@@ -1160,6 +1160,13 @@ class TestNonFiniteInputs:
         best = optimize_waist(ParabolicMirror(1e-310, 4e-310), bracket=(1e-311, 3e-309))
         assert 1e-311 <= best.waist <= 3e-309 and 0.9 < best.eta <= 1.0
 
+    def test_bracket_near_the_float_maximum(self):
+        # the midpoint 0.5 * (lo + hi) overflowed to inf once lo + hi passed
+        # 2^1024, steps left the bracket and the search never ended
+        mirror = ParabolicMirror(6.611486196908338e307, 1e308, 1.0 / 3.0)
+        best = optimize_waist(mirror, bracket=(1.0 / 3.0, 1e308), rel_tol=1.0 / 3.0)
+        assert 1.0 / 3.0 <= best.waist <= 1e308 and 0.99 < best.eta <= 1.0
+
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-6])
     def test_waist_rel_tol(self, rel_tol):
         with pytest.raises(DomainError):
