@@ -732,23 +732,21 @@ class WaistOptimum(NamedTuple):
 
 
 def _brent_max(
-    fn: Callable[[float], float], lo: float, hi: float, rel_tol: float
+    fn: Callable[[float], float], a: float, b: float, xtol: float
 ) -> Tuple[float, float]:
     # Brent's method (R. P. Brent, Algorithms for Minimization without
     # Derivatives, 1973, ch. 5) on g = -fn: a parabola through the three
     # best points (x, w, v) where its vertex lies well inside the bracket
     # [a, b] and the step is shrinking, a golden-section step into the
     # larger half otherwise.  It stops once every point of the bracket is
-    # within rel_tol * x / 2 of x, so the bracket is at most rel_tol * x
-    # wide; steps never fall below tol, which is at least one ulp of x.
-    a, b = lo, hi
+    # within 2 tol of x, so the bracket is at most 4 xtol wide; steps never
+    # fall below tol = max(xtol, 2^-52 |x|), which is at least one ulp of x.
     x = w = v = a + _GOLDEN_SECTION * (b - a)
     gx = gw = gv = -fn(x)
     d = e = 0.0
     while True:
-        m = a + 0.5 * (b - a)  # 0.5 * (a + b) overflows past 2^1023
-        # one ulp of x at least, also where _EPS * x underflows for a subnormal x
-        tol = max(max(0.25 * rel_tol, _EPS) * x, math.ulp(x))
+        m = 0.5 * (a + b)
+        tol = max(xtol, _EPS * abs(x))
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             return x, -gx
         golden = True
@@ -774,16 +772,10 @@ def _brent_max(
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         gu = -fn(u)
         if gu <= gx:
-            if u < x:
-                b = x
-            else:
-                a = x
+            a, b = (a, x) if u < x else (x, b)
             v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
+            a, b = (u, b) if u < x else (a, u)
             if gu <= gw or w == x:
                 v, gv, w, gw = w, gw, u, gu
             elif gu <= gv or v == x or v == w:
@@ -800,12 +792,18 @@ def optimize_waist(
 
     ``family`` maps a waist to a BeamProfile (default: the doughnut ring
     mode).  The search is Brent's method on ``bracket`` (default
-    [0.1 f, 20 f]), assuming a unimodal overlap: parabolic steps near the
-    maximum, golden-section steps where they would not shrink the bracket.
+    [0.1 f, 20 f]), assuming a unimodal overlap, in s = log2(w) - k with k
+    the binary exponent of f (f = m 2^k, 0.5 <= m < 1): scaling f and the
+    bracket by a power of two leaves every s, and so the result, unchanged.
+    It covers the waists with |s| <= 510, where (2f / w)^2 is a normal
+    float, and raises DegenerateResultError if none of the bracket is left.
     It stops once the bracket holding the maximum is narrower than
     ``rel_tol`` (a positive number, default 1e-6) times the waist; one
-    below 2^-50 (about 8.9e-16) is taken as 2^-50.  The returned eta is
-    the best overlap evaluated.
+    below 2^-50 (about 8.9e-16) is taken as 2^-50.  The returned eta is the
+    best overlap evaluated.  A probe the family or the overlap refuses
+    refuses the whole search.  On a bracket many decades wide the overlap
+    can be flat to the last bit over most of it, and the search can stop
+    on that plateau instead of at the maximum.
     """
     if family is None:
         family = BeamProfile.doughnut
@@ -817,9 +815,22 @@ def optimize_waist(
         raise DomainError(
             f"bracket must satisfy 0 < lo < hi < inf, got ({lo!r}, {hi!r})")
     _check_real("rel_tol", rel_tol, positive=True)
+    lo, hi, k = float(lo), float(hi), math.frexp(f)[1]
+    a, b = (math.log2(m) + (e - k) for m, e in map(math.frexp, (lo, hi)))
+    # (2f / w)^2 is a normal float for |s| <= 510
+    a, b = max(a, -510.0), min(b, 510.0)
+    if not a <= b:
+        raise DegenerateResultError(
+            "the bracket holds no waist within a factor 2^510 of the focal length")
 
-    def score(w: float) -> float:
-        return overlap_eta(family(w), mirror)
+    def waist(s: float) -> float:
+        # 2^(s + 1) times 2^(k - 1), a float for every f, so that a probe
+        # past the float maximum is inf rather than an OverflowError; and
+        # clamped, since a rounded s may lie just outside the bracket
+        w = math.ldexp(2.0 ** (s % 1.0), math.floor(s) + 1) * math.ldexp(0.5, k)
+        return min(max(w, lo), hi)
 
-    waist, eta = _brent_max(score, lo, hi, rel_tol)
-    return WaistOptimum(waist=waist, eta=eta)
+    # a bracket 4 xtol wide in s is rel_tol times the waist wide in w
+    xtol = 0.25 * max(rel_tol, 2.0 ** -50) / math.log(2.0)
+    s, eta = _brent_max(lambda s: overlap_eta(family(waist(s)), mirror), a, b, xtol)
+    return WaistOptimum(waist=waist(s), eta=eta)

@@ -614,7 +614,7 @@ class TestOptimizeWaist:
             return BeamProfile.doughnut(w)
 
         result = optimize_waist(mirror, family=family)
-        assert len(waists) <= 20
+        assert len(waists) <= 14
         assert result.waist in waists
 
     @pytest.mark.parametrize("mirror", MIRRORS)
@@ -641,6 +641,30 @@ class TestOptimizeWaist:
     def test_bad_bracket_rejected(self):
         with pytest.raises(DomainError):
             optimize_waist(self.DEEP, bracket=(2.0, 1.0))
+
+    @pytest.mark.parametrize("k", [30, 60, 100])
+    def test_wide_bracket(self, k):
+        # a search in w rather than log w stopped on the flat wide-waist
+        # plateau: at k = 30 it returned w = 7.3e8 with eta = 0.7406
+        mirror = ParabolicMirror(1.0, 4.0)
+        best = optimize_waist(mirror, bracket=(2.0 ** -k, 2.0 ** k))
+        default = optimize_waist(mirror)
+        assert abs(best.waist - default.waist) <= 1e-6 * default.waist, best
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=st.floats(-4.0, 4.0).map(lambda k: 10.0 ** k), r=st.floats(2.1, 6.0),
+           h=st.floats(0.0, 1.8), lo=st.floats(0.1, 1.0), hi=st.floats(1.5, 20.0),
+           rel_tol=st.floats(-16.0, -2.0).map(lambda k: 10.0 ** k),
+           j=st.integers(-1000, 1000))
+    def test_power_of_two_scaling(self, f, r, h, lo, hi, rel_tol, j):
+        # the overlap depends on w / f alone, exactly under power-of-two
+        # scaling, and so does the search: every bit of the result
+        def search(scale):
+            mirror = ParabolicMirror(scale * f, scale * r * f, scale * h * f)
+            return optimize_waist(mirror, bracket=(scale * lo * f, scale * hi * f),
+                                  rel_tol=rel_tol)
+        best, scaled = search(1.0), search(2.0 ** j)
+        assert (scaled.waist / 2.0 ** j, scaled.eta) == (best.waist, best.eta)
 
 
 class TestClosedForms:
@@ -1058,6 +1082,20 @@ class TestPupilReference:
         assert {name: designs[name] for name in MIRRORS} == MIRRORS
         # and the mirror whose kept interval is 1.03e-3 of its end wide
         assert designs.keys() - MIRRORS.keys() == {"kept-past-the-cut"}
+
+    def test_waist_argmax_rows_are_the_golden_searches(self):
+        from test_golden import FLAT_OPTIMUM, MIRRORS
+        rows = {name: (f, r, h) for name, f, r, h, *_ in REFERENCE["waist_argmax"]}
+        assert rows == {name: design for name, design in MIRRORS.items()
+                        if name not in FLAT_OPTIMUM}
+
+    def test_optimize_waist(self):
+        # the default search stops once its bracket is narrower than
+        # rel_tol = 1e-6 times the waist, and the bracket holds the maximum
+        for name, f, r, h, waist, eta in REFERENCE["waist_argmax"]:
+            best = optimize_waist(ParabolicMirror(f, r, h))
+            assert abs(best.waist - waist) <= 1e-6 * waist, (name, best, waist)
+            assert eta - 1e-12 <= best.eta <= eta + 2e-14, (name, best, eta)
 
     def test_mirrors(self):
         # The doughnut's p and eta_prime carry the rounding of the ring

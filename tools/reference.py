@@ -22,7 +22,12 @@ the nearest float, of
   ``tests/test_golden.py``, plus a mirror whose kept interval is 1.03e-3
   of its outer end wide, where differencing the cross term's two E1 tails
   once put eta_prime 1.35e-12 off, for the flat-top, dipole-matched and
-  doughnut profiles of that matrix.
+  doughnut profiles of that matrix;
+* the waist of greatest doughnut overlap in [0.1 f, 20 f], and that
+  overlap, on each golden mirror whose ``optimize_waist`` result the
+  golden matrix pins (all but the three where the overlap is 1 to within
+  an ulp over the whole bracket): the root of d eta / d b, b = 2f / w, by
+  the secant method from the best of 64 log-spaced waists.
 
 Every value is exact for the float inputs the library integrates: the
 pupil ends 0.5 h / f and 0.5 R / f, the kept interval's ends (one of them
@@ -85,6 +90,9 @@ MIRRORS = {
 EXTRA_MIRRORS = {"kept-past-the-cut": (1.0, 264771.2439068694, 1.9989720221612548)}
 # doughnut waists in units of f, as in the golden matrix
 WAISTS = (0.3, 1.3, 5.0)
+# the golden mirrors that leave optimize_waist out of the matrix
+# (test_golden.FLAT_OPTIMUM)
+FLAT_OPTIMUM = ("narrow-annulus", "tiny", "tiny-holed")
 
 
 def dipole_norm_head(u):
@@ -246,6 +254,18 @@ def mirror_rows(name, f, r, h):
     return rows
 
 
+def waist_argmax_row(name, f, r, h):
+    u_h, u_r = 0.5 * h / f, 0.5 * r / f
+    dip = dipole_norm(u_h, u_r)
+
+    def eta(b):
+        return doughnut_cross(b, u_h, u_r) / mp.sqrt(ring_power(b, u_h, u_r) * dip)
+    # b = 2f / w from 20 down to 0.1
+    grid = [20 / mp.power(200, mp.mpf(i) / 63) for i in range(64)]
+    b = mp.findroot(lambda b: mp.diff(eta, b), max(grid, key=eta))
+    return [name, f, r, h, float(2 * mp.mpf(f) / b), float(eta(b))]
+
+
 def dump(rows):
     return ",\n".join("  " + json.dumps(row) for row in rows)
 
@@ -256,6 +276,8 @@ def reference_json():
                 for lo, hi, b, edge, k in boundary_intervals()]
     mirrors = [row for name, design in {**MIRRORS, **EXTRA_MIRRORS}.items()
                for row in mirror_rows(name, *design)]
+    argmax = [waist_argmax_row(name, *design) for name, design in MIRRORS.items()
+              if name not in FLAT_OPTIMUM]
     return ("{\n"
             f' "about": "{DIGITS}-digit mpmath values rounded to floats; made by '
             'tools/reference.py",\n'
@@ -267,7 +289,9 @@ def reference_json():
             ' "series_boundary": [\n' + dump(boundary) + "\n ],\n"
             ' "mirrors_columns": ["name", "profile", "f", "R", "h", "omega_n", "eta", '
             '"omega_n_prime", "eta_prime", "p"],\n'
-            ' "mirrors": [\n' + dump(mirrors) + "\n ]\n}\n")
+            ' "mirrors": [\n' + dump(mirrors) + "\n ],\n"
+            ' "waist_argmax_columns": ["name", "f", "R", "h", "waist", "eta"],\n'
+            ' "waist_argmax": [\n' + dump(argmax) + "\n ]\n}\n")
 
 
 def main(argv=None):
