@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .sweep import (
     FIGURE_PRESETS,
+    MODELS,
     SweepRange,
     SweepSpec,
     evaluate_point,
@@ -57,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a single parameter point")
-    p_eval.add_argument("--model", required=True,
-                        choices=("symmetric", "asymmetric", "kerr"))
+    p_eval.add_argument("--model", required=True, choices=MODELS)
     p_eval.add_argument("--omega-n", type=float, required=True)
     p_eval.add_argument("--eta", type=float, required=True)
     p_eval.add_argument("--omega-n-prime", type=float, default=None)

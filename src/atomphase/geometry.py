@@ -374,7 +374,7 @@ _E1_SERIES = tuple((-1) ** k / ((k + 1) * math.factorial(k + 1)) for k in range(
 _INNER_SERIES_RATIO = 0.5
 _INNER_SERIES_TERMS = 64
 
-# BEGIN E1 FIT: generated by tools/fit_e1.py, do not edit
+# BEGIN E1 FIT: generated by tools/reference.py, do not edit
 # Q on [_E1_FIT_LO, _E1_FIT_HI): row e + 1 holds the coefficients in
 # t = 4m - 3 of the binade [2^(e-1), 2^e), where (m, e) = frexp(x).
 _E1_FIT_LO = 0.25
@@ -474,9 +474,9 @@ def _scaled_e1(x: float) -> Tuple[float, float]:
     from it.  Above it, Q comes first and S = 1 / (x + 1 - Q): forming Q
     from S would cancel x + 1 against 1/S, which costs the series up to
     3.5e-15 relative just below x = 1.  On [0.25, 64) Q is one polynomial
-    per binade, fitted offline by ``tools/fit_e1.py`` (regenerate the
-    coefficients with ``python tools/fit_e1.py``, which needs mpmath); it
-    is within 2.2e-16 relative of Q.  From 64 up, Q is the continued
+    per binade, fitted offline by ``tools/reference.py`` (regenerate the
+    coefficients with ``python tools/reference.py``, which needs mpmath);
+    it is within 2.2e-16 relative of Q.  From 64 up, Q is the continued
     fraction, which needs few steps there.
     """
     if x < _E1_FIT_LO:

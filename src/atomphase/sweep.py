@@ -135,12 +135,10 @@ class SweepSpec:
     fixed: Dict[str, float]
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise DomainError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        _check_model_coupling(self.model, self.coupling)
         if self.var not in SWEEP_VARIABLES:
             raise DomainError(
                 f"unknown sweep variable {self.var!r}; expected one of {SWEEP_VARIABLES}")
-        _check_model_coupling(self.model, self.coupling)
         unknown = set(self.fixed) - {"delta", "s0", "s"}
         if unknown:
             raise DomainError(f"unknown fixed parameters: {sorted(unknown)}")
@@ -161,6 +159,8 @@ class SweepSpec:
 
 
 def _check_model_coupling(model: str, coupling: Coupling) -> None:
+    if model not in MODELS:
+        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
     if model == "asymmetric":
         if not isinstance(coupling, AsymmetricCoupling):
             raise DomainError("model 'asymmetric' requires an AsymmetricCoupling")
@@ -367,8 +367,10 @@ def evaluate_point(
     Degenerate points (undefined phase, Kerr pole) become rows with branch
     'boundary' and empty phase fields; pass degenerate_ok=False to raise
     DegenerateResultError (PoleError for the Kerr model) instead.
-    Drive parameters that ``atom.detuned_drive`` rejects raise its
-    DomainError before any arithmetic on them.
+    A model outside MODELS, or a coupling of the wrong type for the model,
+    raises DomainError, as in SweepSpec.  Drive parameters that
+    ``atom.detuned_drive`` rejects raise its DomainError before any
+    arithmetic on them.
     """
     _check_model_coupling(model, coupling)
     detuned_drive(delta, s0)
@@ -552,8 +554,6 @@ class FigurePreset:
     series: Tuple[FigureSeries, ...]
 
 
-FIGURE_PRESETS = ("fig2", "fig3", "fig4", "fig5")
-
 _THRESHOLD_S0 = critical_saturation(SymmetricCoupling(1.0, 1.0))
 
 
@@ -651,10 +651,15 @@ def _fig5() -> FigurePreset:
     return FigurePreset(name="fig5", series=series)
 
 
+_FIGURE_BUILDERS = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
+FIGURE_PRESETS = tuple(_FIGURE_BUILDERS)
+
+
 def figure_preset(name: str) -> FigurePreset:
-    """Build the named preset bundle; unknown names raise ValueError."""
-    builders = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
-    if name not in builders:
-        raise ValueError(
+    """Build the named preset bundle; a name outside FIGURE_PRESETS,
+    including one that is not a string, raises DomainError."""
+    # the tuple, not the dict: an unhashable name such as a list is refused too
+    if name not in FIGURE_PRESETS:
+        raise DomainError(
             f"unknown preset {name!r}; expected one of {FIGURE_PRESETS}")
-    return builders[name]()
+    return _FIGURE_BUILDERS[name]()

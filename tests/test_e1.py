@@ -2,7 +2,8 @@
 
 ``geometry._scaled_e1(x)`` returns S = e^x E1(x) and Q = x + 1 - 1/S.  The
 reference values in ``e1_reference.json`` were made with mpmath by
-``tools/fit_e1.py``; where mpmath is installed they are recomputed here.
+``tools/reference.py``, which also fits ``geometry._E1_FIT``; where mpmath
+is installed they are recomputed here.
 """
 
 import json

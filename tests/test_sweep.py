@@ -269,6 +269,16 @@ class TestFigurePresets:
         with pytest.raises(ValueError):
             figure_preset("fig9")
 
+    @pytest.mark.parametrize("name", ["fig9", ["fig2"], None])
+    def test_unknown_preset_is_a_domain_error(self, name):
+        with pytest.raises(DomainError, match="unknown preset"):
+            figure_preset(name)
+
+    def test_preset_names(self):
+        assert sweep.FIGURE_PRESETS == ("fig2", "fig3", "fig4", "fig5")
+        assert [figure_preset(n).name for n in sweep.FIGURE_PRESETS] == list(
+            sweep.FIGURE_PRESETS)
+
     def test_fig2_series(self):
         preset = figure_preset("fig2")
         names = [s.name for s in preset.series]
@@ -337,6 +347,16 @@ class TestEvaluatePoint:
             evaluate_point("symmetric",
                            AsymmetricCoupling(0.9, 0.9, 0.9, 0.9, 1.0),
                            0.0, 0.0)
+
+    @pytest.mark.parametrize("model", ["bogus", ["kerr"], "Kerr"])
+    def test_unknown_model(self, model):
+        # once computed as the symmetric model under the given name
+        with pytest.raises(DomainError) as point:
+            evaluate_point(model, SymmetricCoupling(0.5, 0.9), 0.1, 0.1)
+        with pytest.raises(DomainError) as spec:
+            spec_delta(coupling=SymmetricCoupling(0.5, 0.9), model=model)
+        assert str(point.value) == str(spec.value)
+        assert str(point.value).startswith(f"unknown model {model!r}")
 
 
 # ------------------------------------------------- columnar kernel vs oracle
