@@ -13,6 +13,7 @@ option values are safest in the ``--opt=value`` form, e.g.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ from .sweep import (
     MODELS,
     SweepRange,
     SweepSpec,
+    _check_model,
     evaluate_point,
     figure_preset,
     row_to_dict,
@@ -152,7 +154,15 @@ def _spec_from_config(config: dict) -> SweepSpec:
         raise ConfigError("'fixed' must be an object of parameter values")
 
     try:
+        # the model picks the coupling's keys, so it is checked first
+        _check_model(model)
         coupling_type = AsymmetricCoupling if model == "asymmetric" else SymmetricCoupling
+        keys = [field.name for field in dataclasses.fields(coupling_type)]
+        missing = [k for k in keys if k not in coupling_cfg]
+        unexpected = sorted(set(coupling_cfg) - set(keys), key=repr)
+        if missing or unexpected:
+            raise ConfigError(f"model {model!r} takes coupling keys {keys}; "
+                              f"missing {missing}, unexpected {unexpected}")
         coupling = coupling_type(**{k: _number(k, v) for k, v in coupling_cfg.items()})
         rng = SweepRange(
             start=_number("start", sweep_cfg.pop("start")),

@@ -40,7 +40,8 @@ values it is within 4e-15 max(1, (b u1)^2, ln(1 / (a (1 + u1^2)))), with
 b = 2f/w: the first term is the rounding of the exponent (b u1)^2, the
 last the -ln x of E1's series that the tails cancel where x = a (1 + t)
 is small.  No preset integral uses a quadrature rule; adaptive quadrature
-remains only for custom profiles.
+remains only for custom profiles, on pupil pieces cut a decade apart from
+the outer end (see ``BeamProfile``).
 
 Each public call evaluates each distinct integral once.  A matched
 profile's cross term and power are its dipole norm.  The re-collimated
@@ -216,6 +217,15 @@ class BeamProfile:
     evaluated).  ``custom`` wraps any square-integrable radial amplitude,
     evaluated on the native coordinate of the aperture: pupil radius for
     mirrors, polar angle for cones.
+
+    A custom profile is integrated by adaptive quadrature to a relative
+    tolerance of 1e-12.  On a mirror pupil the interval [lo, hi] in
+    u = d / 2f is first cut at hi 10^-k, k = 1, 2, ..., at every such point
+    above max(lo, 1e-6), so each piece but the innermost spans at most a
+    decade, and an interval narrower than a decade is one piece.  The rule
+    sees an amplitude only at its nodes: structure narrower than about 1%
+    of its radius (a thin ring, say) can fall between them and be missed,
+    and the overlap then comes back near 0 or is refused as zero-norm.
     """
 
     kind: str
@@ -260,14 +270,13 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return value
 
 
-# Cuts at the decades of the mirror scale u = 1 keep the adaptive rule from
-# missing the peak when the annulus spans many decades.
-_DECADES = tuple(10.0**k for k in range(-6, 9))
-
-
+# Cuts a decade apart, counted down from the outer end to u = 1e-6, keep the
+# adaptive rule from missing the peak when the annulus spans many decades.
 def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    cuts = [lo] + [c for c in _DECADES if lo < c < hi] + [hi]
-    return sum(_quad(fn, a, b) for a, b in zip(cuts, cuts[1:]))
+    cuts = [hi]
+    while cuts[0] / 10.0 > max(lo, 1e-6):
+        cuts.insert(0, cuts[0] / 10.0)
+    return sum(_quad(fn, a, b) for a, b in zip([lo] + cuts, cuts))
 
 
 def _horner(coeffs: Tuple[float, ...], x: float) -> float:

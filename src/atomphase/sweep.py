@@ -158,9 +158,13 @@ class SweepSpec:
                     f"{given or 'neither'}")
 
 
-def _check_model_coupling(model: str, coupling: Coupling) -> None:
+def _check_model(model: str) -> None:
     if model not in MODELS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+
+
+def _check_model_coupling(model: str, coupling: Coupling) -> None:
+    _check_model(model)
     if model == "asymmetric":
         if not isinstance(coupling, AsymmetricCoupling):
             raise DomainError("model 'asymmetric' requires an AsymmetricCoupling")

@@ -484,6 +484,8 @@ class TestGeometry:
 SWEEP_CONFIG = {"model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
                 "sweep": {"var": "delta", "start": -5, "stop": 0, "count": 11},
                 "fixed": {"s0": 0.0}}
+ASYMMETRIC_COUPLING = {"omega_n": 1.0, "eta": 1.0, "omega_n_prime": 1.0,
+                       "eta_prime": 1.0, "p": 1.0}
 EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
 
 
@@ -499,8 +501,18 @@ EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
     (None, {**SWEEP_CONFIG, "fixed": [0.0]}, "'fixed' must be an object"),
     (None, {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "step": 0.5}},
      "unknown sweep keys: ['step']"),
+    (None, {**SWEEP_CONFIG, "model": "bogus", "coupling": ASYMMETRIC_COUPLING},
+     "unknown model 'bogus'; expected one of"),
+    (None, {**SWEEP_CONFIG, "model": "asymmetric"},
+     "missing ['omega_n_prime', 'eta_prime', 'p'], unexpected []"),
+    (None, {**SWEEP_CONFIG, "model": "kerr", "coupling": ASYMMETRIC_COUPLING},
+     "missing [], unexpected ['eta_prime', 'omega_n_prime', 'p']"),
+    (None, {**SWEEP_CONFIG, "coupling": {"omega_n": 1.0, "eta_": 1.0}},
+     "missing ['eta'], unexpected ['eta_']"),
 ], ids=["symmetric-prime-flag", "kerr-prime-flag", "bad-doughnut-waist", "config-list",
-        "missing-section", "malformed-section", "fixed-list", "unknown-sweep-key"])
+        "missing-section", "malformed-section", "fixed-list", "unknown-sweep-key",
+        "unknown-model", "missing-coupling-keys", "unexpected-coupling-keys",
+        "misspelt-coupling-key"])
 def test_refusal_is_usage_error(capsys, tmp_path, argv, config, message):
     if config is not None:
         path = tmp_path / "sweep.json"

@@ -463,8 +463,9 @@ class TestRecollimation:
 
     @pytest.mark.parametrize("mirror", [ParabolicMirror(1.3, 7.0, 0.5),
                                         ParabolicMirror(1.3, 7.0, 2.0),
-                                        ParabolicMirror(0.7, 30.0)],
-                             ids=["inner-ring", "outer-ring", "hole-free"])
+                                        ParabolicMirror(0.7, 30.0),
+                                        ParabolicMirror(1.0, 2.5, 0.5)],
+                             ids=["inner-ring", "outer-ring", "hole-free", "narrow"])
     def test_custom_power_integrates_each_ring_once(self, mirror, monkeypatch):
         # p's annulus power is the kept power plus the rings outside the kept
         # interval: the power integrals tile [u_h, u_R] with no overlap
@@ -485,6 +486,34 @@ class TestRecollimation:
         assert intervals[0][0] == u_h and intervals[-1][1] == u_r
         assert all(a < b for a, b in intervals)
         assert all(prev[1] == cur[0] for prev, cur in zip(intervals, intervals[1:]))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 5.0), (0.0, 1.5e-6), (0.0, 1e-6), (0.0, 1e-7), (1e-9, 3e-6),
+        (0.25, 1.25), (0.1, 1.0), (0.1, math.nextafter(1.0, 2.0)), (0.3, 3.0),
+        (1e-3, 7e5), (2.0, 1e300), (1e300, 1.7e308)])
+    def test_pupil_cuts_a_decade_apart_from_the_outer_end(self, lo, hi, monkeypatch):
+        # the pieces tile [lo, hi], each but the innermost spans a factor of
+        # at most 10, and the innermost ends within a decade of max(lo, 1e-6)
+        pieces = []
+        monkeypatch.setattr(geometry, "_quad", lambda fn, a, b: pieces.append((a, b)) or 0.0)
+        geometry._pupil_quad(lambda u: u, lo, hi)
+        pieces.sort()
+        assert pieces[0][0] == lo and pieces[-1][1] == hi
+        assert all(prev[1] == cur[0] for prev, cur in zip(pieces, pieces[1:]))
+        assert all(b <= 10.0 * a * (1.0 + 2.0 ** -50) for a, b in pieces[1:])
+        assert all(a < b for a, b in pieces)
+        assert pieces[0][1] <= 10.0 * max(lo, 1e-6) * (1.0 + 2.0 ** -50)
+
+    def test_annulus_narrower_than_a_decade_is_one_piece(self, monkeypatch):
+        # u in [0.25, 1.25]: one piece for each of the cross term and the
+        # power
+        calls = []
+        real_quad = geometry._quad
+        monkeypatch.setattr(geometry, "_quad",
+                            lambda fn, a, b: calls.append((a, b)) or real_quad(fn, a, b))
+        overlap_eta(BeamProfile.custom(lambda d: math.exp(-(d / 1.5) ** 2)),
+                    ParabolicMirror(1.0, 2.5, 0.5))
+        assert calls == [(0.25, 1.25)] * 2
 
     def test_custom_matches_quadrature_oracle(self):
         # p and eta_prime of a Gaussian from independent quadrature in d
@@ -1120,6 +1149,20 @@ class TestPupilReference:
                 # differencing the two E1 tails on its kept interval, 1.03e-3
                 # of its end wide, put eta_prime 1.35e-12 off at w = 5 f
                 assert abs(got[3] - want[3]) <= CONTRACT * want[3], (kind, got, want)
+
+    # the amplitudes of d that tools/reference.py integrates with mpmath
+    CUSTOM = {"ring": lambda d: math.exp(-((d - 1e-3) / 1e-5) ** 2),
+              "d^-0.4": lambda d: d ** -0.4}
+
+    def test_custom_mirrors(self):
+        # what the pupil cuts protect: a ring 1e-5 wide at d = 1e-3 that an
+        # adaptive rule finds only if a node lands near it, and an amplitude
+        # singular at the vertex
+        for name, kind, f, r, h, *want in REFERENCE["custom_mirrors"]:
+            mirror, profile = ParabolicMirror(f, r, h), BeamProfile.custom(self.CUSTOM[kind])
+            got = [overlap_eta(profile, mirror), *recollimation_parameters(mirror, profile)[1:]]
+            for value, exact in zip(got, want):
+                assert abs(value - exact) <= 1e-13 * exact, (name, kind, got, want)
 
 
 def log_uniform(lo, hi):

@@ -46,6 +46,14 @@ values, each rounded to the nearest float, of
   of its outer end wide, where differencing the cross term's two E1 tails
   once put eta_prime 1.35e-12 off, for the flat-top, dipole-matched and
   doughnut profiles of that matrix;
+* eta, eta_prime and p of two custom amplitudes of the pupil radius d,
+  integrated by ``mp.quad`` broken at the decades of u and around the
+  ring: a ring exp(-((d - 1e-3) / 1e-5)^2) at f = 1 on a hole-free mirror
+  and on one with a 1e-4 hole, both wide enough that the ring lies in the
+  kept interval, and d^-0.4, singular at the vertex, on a hole-free
+  mirror.  These are what the pupil cuts of ``geometry._pupil_quad``
+  protect: a ring the adaptive rule finds only if a node lands near it,
+  and an endpoint singularity;
 * the waist of greatest doughnut overlap in [0.1 f, 20 f], and that
   overlap, on each golden mirror whose ``optimize_waist`` result the
   golden matrix pins (all but the three where the overlap is 1 to within
@@ -55,10 +63,11 @@ values, each rounded to the nearest float, of
 Every value is exact for the float inputs the library integrates: the
 pupil ends 0.5 h / f and 0.5 R / f, the kept interval's ends (one of them
 a rounded reciprocal) and b = 2 (f / w) are rounded as the library rounds
-them, and only the integrals are exact.  Each integral is the difference
-of its antiderivative at the two ends, taken from 0 below u = 1 (y = 1 for
-the ring power, in y = 2 (b u)^2) and from infinity past it, so at least
-30 of the 60 digits survive the cancellation on a 1-ulp interval.  The
+them, and only the integrals are exact.  Each integral but the custom
+profiles' is the difference of its antiderivative at the two ends, taken
+from 0 below u = 1 (y = 1 for the ring power, in y = 2 (b u)^2) and from
+infinity past it, so at least 30 of the 60 digits survive the
+cancellation on a 1-ulp interval.  The
 doughnut cross term uses
 int_t^inf s e^{-as} / (1+s)^2 ds = (1 + a) e^a E1(a (1 + t)) - e^{-at} / (1 + t).
 
@@ -233,6 +242,22 @@ MIRRORS = {
 EXTRA_MIRRORS = {"kept-past-the-cut": (1.0, 264771.2439068694, 1.9989720221612548)}
 # doughnut waists in units of f, as in the golden matrix
 WAISTS = (0.3, 1.3, 5.0)
+# custom amplitudes of d, name: (amplitude, points in d where the integrals
+# break besides the decades of u): a ring 1e-5 wide at d = 1e-3 (u = 5e-4),
+# which an adaptive rule finds only if a node lands near it, and an amplitude
+# singular at d = 0
+CUSTOM_PROFILES = {
+    "ring": (lambda d: mp.exp(-((d - 1e-3) / 1e-5) ** 2),
+             [1e-3 + k * 1e-5 for k in (-30, -3, 0, 3, 30)]),
+    "d^-0.4": (lambda d: d ** -0.4, []),
+}
+# name, profile, (f, R, h): the ring lies in the kept interval of both ring
+# mirrors
+CUSTOM_MIRRORS = (
+    ("ring-hole-free", "ring", (1.0, 8000.0, 0.0)),
+    ("ring-holed", "ring", (1.0, 8000.0, 1e-4)),
+    ("hole-free", "d^-0.4", (1.0, 4.0, 0.0)),
+)
 # the golden mirrors that leave optimize_waist out of the matrix
 # (test_golden.FLAT_OPTIMUM)
 FLAT_OPTIMUM = ("narrow-annulus", "tiny", "tiny-holed")
@@ -397,6 +422,29 @@ def mirror_rows(name, f, r, h):
     return rows
 
 
+def custom_integrals(profile, f, lo, hi):
+    """(cross term, power) of a custom amplitude on [lo, hi], by mp.quad
+    broken at the decades of u and at the profile's own points."""
+    amplitude, points = CUSTOM_PROFILES[profile]
+    inner = [mp.mpf(d) / (2 * f) for d in points] + [mp.mpf(10) ** k for k in range(-8, 9)]
+    breaks = [mp.mpf(lo)] + sorted(u for u in inner if lo < u < hi) + [mp.mpf(hi)]
+
+    def beam(u):
+        return amplitude(2 * f * u)
+    cross = mp.quad(lambda u: beam(u) * 2 * u / (1 + u * u) ** 2 * u, breaks)
+    return cross, mp.quad(lambda u: beam(u) ** 2 * u, breaks)
+
+
+def custom_mirror_row(name, profile, f, r, h):
+    u_h, u_r = 0.5 * h / f, 0.5 * r / f
+    lo, hi = kept_interval(u_h, u_r)
+    cross, power = custom_integrals(profile, f, u_h, u_r)
+    cross_kept, kept = custom_integrals(profile, f, lo, hi)
+    eta = cross / mp.sqrt(power * dipole_norm(u_h, u_r))
+    eta_prime = cross_kept / mp.sqrt(kept * dipole_norm(lo, hi))
+    return [name, profile, f, r, h] + [float(v) for v in (eta, eta_prime, kept / power)]
+
+
 def waist_argmax_row(name, f, r, h):
     u_h, u_r = 0.5 * h / f, 0.5 * r / f
     dip = dipole_norm(u_h, u_r)
@@ -419,6 +467,8 @@ def reference_json():
                 for lo, hi, b, edge, k in boundary_intervals()]
     mirrors = [row for name, design in {**MIRRORS, **EXTRA_MIRRORS}.items()
                for row in mirror_rows(name, *design)]
+    custom = [custom_mirror_row(name, profile, *design)
+              for name, profile, design in CUSTOM_MIRRORS]
     argmax = [waist_argmax_row(name, *design) for name, design in MIRRORS.items()
               if name not in FLAT_OPTIMUM]
     return ("{\n"
@@ -433,6 +483,9 @@ def reference_json():
             ' "mirrors_columns": ["name", "profile", "f", "R", "h", "omega_n", "eta", '
             '"omega_n_prime", "eta_prime", "p"],\n'
             ' "mirrors": [\n' + dump(mirrors) + "\n ],\n"
+            ' "custom_mirrors_columns": ["name", "profile", "f", "R", "h", "eta", '
+            '"eta_prime", "p"],\n'
+            ' "custom_mirrors": [\n' + dump(custom) + "\n ],\n"
             ' "waist_argmax_columns": ["name", "f", "R", "h", "waist", "eta"],\n'
             ' "waist_argmax": [\n' + dump(argmax) + "\n ]\n}\n")
 
