@@ -15,11 +15,10 @@ or a numpy chunk alike; the sweep kernel calls them too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Tuple
-
-import numpy as np
 
 from . import _EXPORTS
 from .errors import DomainError, _check_real
@@ -44,17 +43,26 @@ def _check_finite_result(name: str, value: float) -> float:
     return value
 
 
+def _numpy_if_array(x):
+    """numpy when x is a numpy array, else None.  No array exists before
+    numpy is loaded, so the scalar functions load no numpy."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
+
+
 def _pow(base, exponent: float):
     """libm's pow of a number, or elementwise over a numpy array: numpy's
     own power differs from libm by up to 4 ulp."""
-    if isinstance(base, np.ndarray):
-        return np.array(list(map(math.pow, base.tolist(), repeat(exponent))))
-    return math.pow(base, exponent)
+    np = _numpy_if_array(base)
+    if np is None:
+        return math.pow(base, exponent)
+    return np.array(list(map(math.pow, base.tolist(), repeat(exponent))))
 
 
 def _sqrt(x):
     """Square root of a number or a numpy array; IEEE 754 rounds both exactly."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    np = _numpy_if_array(x)
+    return math.sqrt(x) if np is None else np.sqrt(x)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ option values are safest in the ``--opt=value`` form, e.g.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from .errors import AtomPhaseError, DomainError
@@ -51,6 +51,15 @@ class ConfigError(Exception):
     """A sweep configuration or CLI combination could not be validated."""
 
 
+# eval takes each coupling parameter as a flag, omega_n as --omega-n; the
+# symmetric models' parameters are required, the others only apply to the
+# asymmetric model
+_FLAGS = {field.name: "--" + field.name.replace("_", "-")
+          for field in fields(AsymmetricCoupling)}
+_REQUIRED = {field.name for field in fields(SymmetricCoupling)}
+_PRIME_FLAGS = [flag for key, flag in _FLAGS.items() if key not in _REQUIRED]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atomphase",
@@ -61,11 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a single parameter point")
     p_eval.add_argument("--model", required=True, choices=MODELS)
-    p_eval.add_argument("--omega-n", type=float, required=True)
-    p_eval.add_argument("--eta", type=float, required=True)
-    p_eval.add_argument("--omega-n-prime", type=float, default=None)
-    p_eval.add_argument("--eta-prime", type=float, default=None)
-    p_eval.add_argument("--p", type=float, default=None)
+    for key, flag in _FLAGS.items():
+        p_eval.add_argument(flag, type=float, required=key in _REQUIRED)
     p_eval.add_argument("--delta", type=float, required=True)
     p_eval.add_argument("--s0", type=float, required=True)
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
@@ -103,18 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_coupling(args):
-    prime_flags = (args.omega_n_prime, args.eta_prime, args.p)
-    if args.model == "asymmetric":
-        if any(v is None for v in prime_flags):
-            raise ConfigError(
-                "model 'asymmetric' requires --omega-n-prime, --eta-prime and --p")
-        return AsymmetricCoupling(
-            omega_n=args.omega_n, eta=args.eta,
-            omega_n_prime=args.omega_n_prime, eta_prime=args.eta_prime, p=args.p)
-    if any(v is not None for v in prime_flags):
-        raise ConfigError(
-            "--omega-n-prime/--eta-prime/--p only apply to the asymmetric model")
-    return SymmetricCoupling(omega_n=args.omega_n, eta=args.eta)
+    coupling_type = _check_model(args.model)
+    given = {key: getattr(args, key) for key in _FLAGS}
+    keys = [field.name for field in fields(coupling_type)]
+    if any(given[key] is None for key in keys):
+        raise ConfigError(f"model {args.model!r} requires "
+                          f"{', '.join(_PRIME_FLAGS[:-1])} and {_PRIME_FLAGS[-1]}")
+    if any(given[key] is not None for key in given.keys() - keys):
+        raise ConfigError(f"{'/'.join(_PRIME_FLAGS)} only apply to the asymmetric model")
+    return coupling_type(**{key: given[key] for key in keys})
 
 
 def _cmd_eval(args) -> int:
@@ -143,21 +146,20 @@ def _spec_from_config(config: dict) -> SweepSpec:
     unknown = set(config) - {"model", "coupling", "sweep", "fixed"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        model = config["model"]
-        coupling_cfg = dict(config["coupling"])
-        sweep_cfg = dict(config["sweep"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"missing or malformed config section: {exc}") from exc
+    for key in ("model", "coupling", "sweep"):
+        # the two sections must be objects, not anything dict() accepts
+        if key not in config or key != "model" and not isinstance(config[key], dict):
+            raise ConfigError(f"missing or malformed config section: {key!r}")
+    model, coupling_cfg = config["model"], config["coupling"]
+    sweep_cfg = dict(config["sweep"])   # a copy: its keys are popped below
     fixed = config.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ConfigError("'fixed' must be an object of parameter values")
 
     try:
         # the model picks the coupling's keys, so it is checked first
-        _check_model(model)
-        coupling_type = AsymmetricCoupling if model == "asymmetric" else SymmetricCoupling
-        keys = [field.name for field in dataclasses.fields(coupling_type)]
+        coupling_type = _check_model(model)
+        keys = [field.name for field in fields(coupling_type)]
         missing = [k for k in keys if k not in coupling_cfg]
         unexpected = sorted(set(coupling_cfg) - set(keys), key=repr)
         if missing or unexpected:
@@ -168,16 +170,18 @@ def _spec_from_config(config: dict) -> SweepSpec:
             start=_number("start", sweep_cfg.pop("start")),
             stop=_number("stop", sweep_cfg.pop("stop")),
             count=sweep_cfg.pop("count"),   # SweepRange refuses a non-integer
-            spacing=str(sweep_cfg.pop("spacing", "linear")),
+            spacing=_string("spacing", sweep_cfg.pop("spacing", "linear")),
         )
-        var = str(sweep_cfg.pop("var"))
+        var = _string("var", sweep_cfg.pop("var"))
         if sweep_cfg:
             raise ConfigError(f"unknown sweep keys: {sorted(sweep_cfg)}")
         return SweepSpec(model=model, coupling=coupling, var=var, range=rng,
                          fixed={k: _number(k, v) for k, v in fixed.items()})
     except ConfigError:
         raise
-    except (AtomPhaseError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"missing sweep key: {exc}") from exc
+    except (AtomPhaseError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -191,15 +195,32 @@ def _number(name: str, value) -> float:
         raise ConfigError(f"{name} is an integer past the floating-point range") from None
 
 
+def _string(name: str, value) -> str:
+    # JSON strings only, as _number takes JSON numbers only
+    if type(value) is not str:
+        raise ConfigError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
+def _object(pairs) -> dict:
+    # json keeps the last of a repeated key; a config refuses it
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _cmd_sweep(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:
-        # bad JSON, bytes that are not UTF-8, or an integer longer than
-        # Python converts
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, an integer longer than Python
+        # converts, a repeated key, or nesting past the recursion limit
         raise ConfigError(f"cannot parse config as JSON: {exc}") from exc
     # every point is validated before the first byte is written
     write_sweep(_spec_from_config(config), sys.stdout.write, args.format)

@@ -27,7 +27,7 @@ large that 1 + 4 delta^2 or (1 + s)^2 overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -53,6 +53,12 @@ class PhaseBranch(Enum):
     GENERIC = "generic"   # off resonance
 
 
+def _check_fractions(coupling) -> None:
+    """Every coupling parameter is a fraction in [0, 1], checked in field order."""
+    for field in fields(coupling):
+        _check_real(field.name, getattr(coupling, field.name), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class SymmetricCoupling:
     """Coupling of a symmetric setup: solid-angle fraction and overlap.
@@ -65,9 +71,7 @@ class SymmetricCoupling:
     omega_n: float
     eta: float
 
-    def __post_init__(self) -> None:
-        _check_real("omega_n", self.omega_n, 0.0, 1.0)
-        _check_real("eta", self.eta, 0.0, 1.0)
+    __post_init__ = _check_fractions
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,7 @@ class AsymmetricCoupling:
     eta_prime: float
     p: float
 
-    def __post_init__(self) -> None:
-        for field in ("omega_n", "eta", "omega_n_prime", "eta_prime", "p"):
-            _check_real(field, getattr(self, field), 0.0, 1.0)
+    __post_init__ = _check_fractions
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,10 @@ from .phase import (
 
 __all__ = list(_EXPORTS["sweep"])
 
-MODELS = ("symmetric", "asymmetric", "kerr")
+# The coupling class each model takes: the one list of models.
+_MODEL_COUPLINGS = {"symmetric": SymmetricCoupling, "asymmetric": AsymmetricCoupling,
+                    "kerr": SymmetricCoupling}
+MODELS = tuple(_MODEL_COUPLINGS)
 SWEEP_VARIABLES = ("delta", "s0", "s", "omega_n", "eta")
 
 Coupling = Union[SymmetricCoupling, AsymmetricCoupling]
@@ -158,18 +161,20 @@ class SweepSpec:
                     f"{given or 'neither'}")
 
 
-def _check_model(model: str) -> None:
+def _check_model(model: str) -> type:
+    # the model's coupling class; membership in the tuple, not the dict, so
+    # that an unhashable model such as a list is refused too
     if model not in MODELS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    return _MODEL_COUPLINGS[model]
 
 
 def _check_model_coupling(model: str, coupling: Coupling) -> None:
-    _check_model(model)
-    if model == "asymmetric":
-        if not isinstance(coupling, AsymmetricCoupling):
-            raise DomainError("model 'asymmetric' requires an AsymmetricCoupling")
-    elif not isinstance(coupling, SymmetricCoupling):
-        raise DomainError(f"model {model!r} requires a SymmetricCoupling")
+    coupling_type = _check_model(model)
+    if not isinstance(coupling, coupling_type):
+        name = coupling_type.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise DomainError(f"model {model!r} requires {article} {name}")
 
 
 @dataclass(frozen=True)
@@ -562,12 +567,8 @@ _THRESHOLD_S0 = critical_saturation(SymmetricCoupling(1.0, 1.0))
 
 
 def _coupling_note(coupling: Coupling) -> str:
-    if isinstance(coupling, AsymmetricCoupling):
-        return (
-            f"omega_n={coupling.omega_n:g} eta={coupling.eta:g} "
-            f"omega_n_prime={coupling.omega_n_prime:g} "
-            f"eta_prime={coupling.eta_prime:g} p={coupling.p:g}")
-    return f"omega_n={coupling.omega_n:g} eta={coupling.eta:g}"
+    return " ".join(f"{field.name}={getattr(coupling, field.name):g}"
+                    for field in fields(coupling))
 
 
 def _series(preset: str, name: str, spec: SweepSpec, extra: Sequence[str] = ()) -> FigureSeries:

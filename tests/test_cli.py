@@ -1,17 +1,24 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import argparse
+import contextlib
+import dataclasses
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import atomphase
 from atomphase import (
@@ -27,7 +34,8 @@ from atomphase import (
     phase_asymmetric,
     phase_symmetric,
 )
-from atomphase.cli import main
+from atomphase.cli import build_parser, main
+from atomphase.sweep import MAX_COUNT, MODELS, SWEEP_VARIABLES, _check_model
 
 
 def run_cli(capsys, *argv):
@@ -316,13 +324,16 @@ class TestSweep:
     @pytest.mark.parametrize("text", [
         b"\xff\xfe{}",
         b'{"model": "symmetric", "sweep": {"stop": ' + b"9" * 5000 + b"}}",
-    ], ids=["not-utf-8", "integer-over-4300-digits"])
+        b"[" * 100000 + b"]" * 100000,
+        b'{"model": "symmetric", "fixed": {"s": 1, "s": 2}, "model": "kerr"}',
+    ], ids=["not-utf-8", "integer-over-4300-digits", "nested-past-the-recursion-limit",
+            "duplicate-key"])
     def test_unparsable_config_is_config_error(self, capsys, tmp_path, text):
         path = tmp_path / "sweep.json"
         path.write_bytes(text)
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: cannot parse config as JSON: ") and err.count("\n") == 1
 
     def test_integer_past_the_float_range_names_its_key(self, capsys, tmp_path):
         path = self.config(tmp_path, {
@@ -490,27 +501,43 @@ EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
 
 
 @pytest.mark.parametrize("argv, config, message", [
-    (EVAL + ("--model", "symmetric", "--p", "1"), None, "only apply to the asymmetric"),
+    (EVAL + ("--model", "symmetric", "--p", "1"), None,
+     "error: --omega-n-prime/--eta-prime/--p only apply to the asymmetric model\n"),
     (EVAL + ("--model", "kerr", "--eta-prime", "1"), None, "only apply to the asymmetric"),
+    (EVAL + ("--model", "asymmetric", "--omega-n-prime", "1", "--eta-prime", "1"), None,
+     "error: model 'asymmetric' requires --omega-n-prime, --eta-prime and --p\n"),
     (("geometry", "mirror", "--f", "1", "--R", "4", "--hole", "0.2",
       "--profile", "doughnut:abc"), None, "bad doughnut waist"),
     (None, [SWEEP_CONFIG], "config must be a JSON object"),
     (None, {k: v for k, v in SWEEP_CONFIG.items() if k != "sweep"},
      "missing or malformed config section"),
     (None, {**SWEEP_CONFIG, "coupling": 3}, "missing or malformed config section"),
+    (None, {**SWEEP_CONFIG, "sweep": "abc"},
+     "error: missing or malformed config section: 'sweep'\n"),
+    (None, {**SWEEP_CONFIG, "coupling": [["omega_n", 1], ["eta", 1]]},
+     "error: missing or malformed config section: 'coupling'\n"),
+    (None, {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "spacing": None}},
+     "error: spacing must be a JSON string, got None\n"),
+    (None, {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "var": ["delta"]}},
+     "error: var must be a JSON string, got ['delta']\n"),
     (None, {**SWEEP_CONFIG, "fixed": [0.0]}, "'fixed' must be an object"),
     (None, {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "step": 0.5}},
      "unknown sweep keys: ['step']"),
+    (None, {**SWEEP_CONFIG, "sweep": {"var": "delta", "stop": 0, "count": 11}},
+     "error: missing sweep key: 'start'\n"),
     (None, {**SWEEP_CONFIG, "model": "bogus", "coupling": ASYMMETRIC_COUPLING},
      "unknown model 'bogus'; expected one of"),
     (None, {**SWEEP_CONFIG, "model": "asymmetric"},
-     "missing ['omega_n_prime', 'eta_prime', 'p'], unexpected []"),
+     "error: model 'asymmetric' takes coupling keys ['omega_n', 'eta', 'omega_n_prime', "
+     "'eta_prime', 'p']; missing ['omega_n_prime', 'eta_prime', 'p'], unexpected []\n"),
     (None, {**SWEEP_CONFIG, "model": "kerr", "coupling": ASYMMETRIC_COUPLING},
      "missing [], unexpected ['eta_prime', 'omega_n_prime', 'p']"),
     (None, {**SWEEP_CONFIG, "coupling": {"omega_n": 1.0, "eta_": 1.0}},
      "missing ['eta'], unexpected ['eta_']"),
-], ids=["symmetric-prime-flag", "kerr-prime-flag", "bad-doughnut-waist", "config-list",
-        "missing-section", "malformed-section", "fixed-list", "unknown-sweep-key",
+], ids=["symmetric-prime-flag", "kerr-prime-flag", "asymmetric-without-p",
+        "bad-doughnut-waist", "config-list",
+        "missing-section", "malformed-section", "sweep-string", "coupling-pairs",
+        "null-spacing", "var-list", "fixed-list", "unknown-sweep-key", "missing-sweep-key",
         "unknown-model", "missing-coupling-keys", "unexpected-coupling-keys",
         "misspelt-coupling-key"])
 def test_refusal_is_usage_error(capsys, tmp_path, argv, config, message):
@@ -648,3 +675,219 @@ class TestEntryPoint:
             [sys.executable, "-m", "atomphase", "frobnicate"],
             capture_output=True, text=True)
         assert result.returncode == 2
+
+
+# ------------------------------------------------------------------- fuzz
+#
+# Any argv of the real subcommands and flags, with any token as a value, and
+# any sweep config of the real keys with any JSON value: a valid call or
+# config with a few edits.  cli.main runs in process with its streams
+# redirected.  --config and --out only ever name a path under the example's
+# own temporary directory, which is also the working directory, and every
+# drawn count is small or refused: no example reads a device, writes outside
+# that directory or sweeps more than a few dozen rows.
+
+def leaf_parsers(parser, path=()):
+    """(subcommand path, parser) of every parser that runs a handler."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, path + (name,))
+            return
+    yield path, parser
+
+
+LEAVES = list(leaf_parsers(build_parser()))
+OPTIONS = [action for _, parser in LEAVES for action in parser._actions
+           if action.option_strings]
+# the paths --config and --out take, the usable one three times as often
+PATHS = {"--config": ["config.json"] * 3 + ["missing.json", ".", "config.json/sub"],
+         "--out": ["out"] * 3 + [".", "out/sub", "config.json", "config.json/sub"]}
+PROFILES = ("flattop", "matched", "doughnut:1.3", "doughnut:0", "doughnut:-1",
+            "doughnut:nan", "doughnut:1e-300", "doughnut:1e300", "doughnut:", "bessel")
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "-0.5", "2", "4", "5e-324", "1e-300",
+                     "1e300", "-1e308", "1e400", "nan", "inf", "-inf", "-0"]),
+    st.floats(0, 1).map(repr), st.floats(0, 10).map(repr), st.floats().map(repr),
+    st.integers().map(str))
+
+
+# how many edits a call or a config gets: most get none or one
+EDITS = st.sampled_from([0, 0, 0, 1, 1, 2, 3])
+
+
+class InTmp(str):
+    """A path relative to the example's temporary directory."""
+
+
+def values(action):
+    """Values of the flag's own kind."""
+    if action.option_strings[0] in PATHS:
+        return st.sampled_from(PATHS[action.option_strings[0]]).map(InTmp)
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    return NUMBERS if action.type is float else st.sampled_from(PROFILES)
+
+
+@st.composite
+def argvs(draw):
+    # every required flag of a subcommand and all or none of the others, then
+    # edits: a flag dropped, left without its value or given any token, or a
+    # flag of any subcommand added
+    path, parser = draw(st.sampled_from(LEAVES))
+    optional = draw(st.booleans())
+    pairs = [[action.option_strings[-1], draw(values(action))]
+             for action in parser._actions if action.option_strings
+             and action.nargs != 0 and (action.required or optional)]
+    for _ in range(draw(EDITS)):
+        kind = draw(st.integers(0, 3))
+        i = draw(st.integers(0, len(pairs)))
+        if kind == 3 or i == len(pairs):
+            action = draw(st.sampled_from(OPTIONS))
+            pairs.insert(i, [draw(st.sampled_from(action.option_strings))]
+                         + ([draw(values(action))] if action.nargs != 0 else []))
+        elif kind == 0:
+            del pairs[i]
+        elif kind == 1:
+            del pairs[i][1:]
+        elif pairs[i][0] not in PATHS:
+            pairs[i][1:] = [draw(st.text(max_size=10))]
+    # a value in the --flag=value form, as a negative one must be given
+    return [*path, *(token for pair in pairs
+                     for token in (["=".join(pair)] if draw(st.booleans()) else pair))]
+
+
+class Obj(list):
+    """A JSON object as a list of [key, value] pairs, so that a key may repeat."""
+
+
+class Raw(str):
+    """The name of a JSON text in RAW, written as that text."""
+
+
+RAW = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity", "1e400": "1e400",
+       "-0": "-0", "10**400": "1" + "0" * 400, "5000 digits": "9" * 5000,
+       "deep array": "[" * 100000 + "]" * 100000,
+       "deep object": '{"a": ' * 100000 + "1" + "}" * 100000}
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-100, 100),
+              st.integers(min_value=MAX_COUNT + 1), st.floats(),
+              st.text(max_size=8), st.sampled_from(sorted(RAW)).map(Raw)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(st.tuples(st.text(max_size=5), inner).map(list), max_size=3).map(Obj),
+    max_leaves=6)
+CONFIG_KEYS = ["model", "coupling", "sweep", "fixed", "var", "start", "stop", "count",
+               "spacing", "delta", "s0", "s",
+               *(field.name for field in dataclasses.fields(AsymmetricCoupling))]
+
+
+def dump(node) -> str:
+    if isinstance(node, Raw):
+        return RAW[node]
+    if isinstance(node, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(dump, node)) + "]"
+    if isinstance(node, float) and not math.isfinite(node):
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(node)]
+    return json.dumps(node)
+
+
+class ConfigText(bytes):
+    """A config file's bytes, shown by their ends when long."""
+
+    def __repr__(self):
+        if len(self) <= 300:
+            return bytes.__repr__(self)
+        return f"{bytes(self[:150])!r} ... {len(self)} bytes ... {bytes(self[-150:])!r}"
+
+
+@st.composite
+def configs(draw):
+    # a config of one model, mostly with its own coupling class, one swept
+    # variable and the fixed drive it needs, then edits of a key in any
+    # object: dropped, added (perhaps a second time) or given any JSON value;
+    # at times the whole file is any JSON value, cut short or given a byte
+    # that is not UTF-8
+    model, var = draw(st.sampled_from(MODELS)), draw(st.sampled_from(SWEEP_VARIABLES))
+    coupling_type = draw(st.sampled_from([_check_model(model)] * 3
+                                         + [SymmetricCoupling, AsymmetricCoupling]))
+    floats, spacing = st.floats(-10, 10), draw(st.sampled_from(["linear", "log"]))
+    ends = st.floats(1e-3, 10) if spacing == "log" else floats
+    fixed = [["delta", draw(floats)]] if var != "delta" else []
+    if var not in ("s0", "s"):
+        fixed.append([draw(st.sampled_from(["s0", "s"])), draw(st.floats(0, 10))])
+    config = Obj([
+        ["model", model],
+        ["coupling", Obj([field.name, draw(st.floats(0, 1))]
+                         for field in dataclasses.fields(coupling_type))],
+        ["sweep", Obj([["var", var], ["start", draw(ends)], ["stop", draw(ends)],
+                       ["count", draw(st.integers(-2, 40))], ["spacing", spacing]])],
+        ["fixed", Obj(fixed)],
+    ])
+    for _ in range(draw(EDITS)):
+        obj = draw(st.sampled_from([config, *(v for _, v in config if isinstance(v, Obj))]))
+        i = draw(st.integers(0, len(obj)))
+        kind = draw(st.integers(0, 2))
+        if kind == 0 and i < len(obj):
+            del obj[i]
+        elif kind == 1 and i < len(obj):
+            obj[i][1] = draw(JSON_VALUES)
+        else:
+            obj.insert(i, [draw(st.sampled_from(CONFIG_KEYS)), draw(JSON_VALUES)])
+    text = dump(config if draw(st.integers(0, 15)) else draw(JSON_VALUES)).encode()
+    cut, kind = draw(st.integers(0, len(text))), draw(st.integers(0, 15))
+    if kind == 14:
+        text = text[:cut] + bytes([draw(st.integers(0x80, 0xff))]) + text[cut:]
+    elif kind == 15:
+        text = text[:cut]
+    return ConfigText(text)
+
+
+def check_main(argv, config):
+    """Run cli.main in a temporary working directory holding config.json,
+    and check the exit code, stderr and stdout."""
+    cwd, out, err = os.getcwd(), io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "config.json"), "wb") as fh:
+            fh.write(config)
+        argv = [os.path.join(tmp, a) if isinstance(a, InTmp) else a for a in argv]
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+    if out.startswith(("{", "[")):
+        json.loads(out, parse_constant=reject_constant)
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=argvs(), config=configs())
+    def test_any_call(self, argv, config):
+        check_main(argv, config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fmt=st.sampled_from(["csv", "json"]), config=configs())
+    def test_any_sweep_config(self, fmt, config):
+        check_main(["sweep", "--config", InTmp("config.json"), "--format", fmt], config)
+
+    @pytest.mark.parametrize("text", [
+        b"[" * 100000 + b"]" * 100000,
+        json.dumps({**SWEEP_CONFIG, "sweep": "abc"}).encode(),
+    ], ids=["nested-past-the-recursion-limit", "sweep-string"])
+    def test_entry_point_refuses_the_config(self, tmp_path, text):
+        # each once a RecursionError or ValueError traceback, exit 1
+        path = tmp_path / "sweep.json"
+        path.write_bytes(text)
+        result = child("-c", RUN, "sweep", "--config", str(path))
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1

@@ -100,8 +100,14 @@ def test_first_use_imports_only_its_submodule():
 
 
 def test_phase_loads_no_scipy():
-    # the constants are literals; only geometry's custom profiles need scipy
-    loaded = fresh("import sys, atomphase; atomphase.phase_symmetric; "
+    # the constants are literals, and atom's helpers reach numpy only for an
+    # array, which a scalar call cannot pass: the scalar layer loads neither
+    loaded = fresh("import sys, atomphase; from fractions import Fraction; "
+                   "c = atomphase.SymmetricCoupling(0.9, Fraction(4, 5)); "
+                   "atomphase.phase_symmetric(c, -0.5, 0.1); "
+                   "atomphase.phase_asymmetric(atomphase.AsymmetricCoupling(0.9, 0.8, 0.7, "
+                   "0.6, 0.5), True, 0.1); "
+                   "atomphase.scattered_power_ratio(0.9, 0.8, 0.1, 2); "
                    "print(' '.join(sorted(sys.modules)))").split()
     assert "atomphase.phase" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []

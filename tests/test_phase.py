@@ -99,6 +99,18 @@ class TestPhaseSymmetric:
         with pytest.raises(DomainError):
             SymmetricCoupling(omega_n=0.5, eta=-0.1)
 
+    @pytest.mark.parametrize("coupling_type, names", [
+        (SymmetricCoupling, ["omega_n", "eta"]),
+        (AsymmetricCoupling, ["omega_n", "eta", "omega_n_prime", "eta_prime", "p"]),
+    ])
+    def test_coupling_messages_in_field_order(self, coupling_type, names):
+        # each parameter names itself, and the first bad one in field order wins
+        for i, name in enumerate(names):
+            values = [0.5] * i + [1.5] * (len(names) - i)
+            with pytest.raises(DomainError) as info:
+                coupling_type(*values)
+            assert str(info.value) == f"{name} must lie in [0, 1], got 1.5"
+
     def test_odd_in_detuning(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):

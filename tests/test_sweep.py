@@ -112,7 +112,8 @@ class TestSweepSpecValidation:
                       range=SweepRange(0.0, 1.0, 3), fixed={"s0": 0.0})
 
     def test_asymmetric_model_needs_asymmetric_coupling(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"^model 'asymmetric' requires an AsymmetricCoupling$"):
             SweepSpec(model="asymmetric", coupling=FULL, var="delta",
                       range=SweepRange(0.0, 1.0, 3), fixed={"s0": 0.0})
 
@@ -343,10 +344,12 @@ class TestEvaluatePoint:
         assert row.phi_rad is None
 
     def test_model_coupling_mismatch(self):
-        with pytest.raises(DomainError):
-            evaluate_point("symmetric",
-                           AsymmetricCoupling(0.9, 0.9, 0.9, 0.9, 1.0),
-                           0.0, 0.0)
+        for model in ("symmetric", "kerr"):
+            with pytest.raises(DomainError,
+                               match=rf"^model '{model}' requires a SymmetricCoupling$"):
+                evaluate_point(model,
+                               AsymmetricCoupling(0.9, 0.9, 0.9, 0.9, 1.0),
+                               0.0, 0.0)
 
     @pytest.mark.parametrize("model", ["bogus", ["kerr"], "Kerr"])
     def test_unknown_model(self, model):
