@@ -36,6 +36,7 @@ from .sweep import (
     MODELS,
     SweepRange,
     SweepSpec,
+    _check_fixed_names,
     _check_model,
     evaluate_point,
     figure_preset,
@@ -175,6 +176,8 @@ def _spec_from_config(config: dict) -> SweepSpec:
         var = _string("var", sweep_cfg.pop("var"))
         if sweep_cfg:
             raise ConfigError(f"unknown sweep keys: {sorted(sweep_cfg)}")
+        # an unknown fixed key is named as such, whatever its value
+        _check_fixed_names(fixed)
         return SweepSpec(model=model, coupling=coupling, var=var, range=rng,
                          fixed={k: _number(k, v) for k, v in fixed.items()})
     except ConfigError:

@@ -258,6 +258,8 @@ class BeamProfile:
 
 
 def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    # the integrands square by multiplication, so an overflowing square is an
+    # inf, refused below; an amplitude may still raise OverflowError itself
     try:
         value, _ = quad(fn, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
     except OverflowError as exc:
@@ -557,9 +559,14 @@ def _pupil_power(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     if profile.kind == "doughnut":
         # the beam is (b u) exp(-(b u)^2) with b = 2f / w
         return _ring_power(_doughnut_b(profile, f), lo, hi)
-    # a custom amplitude takes d = f (2u), which unlike (2f) u cannot overflow
+    # a custom amplitude takes d = f (2u), which unlike (2f) u cannot overflow;
+    # b * b is the square rounded once, without libm's pow
     beam = profile.func
-    return _pupil_quad(lambda u: beam(f * (2.0 * u)) ** 2 * u, lo, hi)
+
+    def power_node(u: float) -> float:
+        b = beam(f * (2.0 * u))
+        return b * b * u
+    return _pupil_quad(power_node, lo, hi)
 
 
 def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
@@ -570,7 +577,13 @@ def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
     if profile.kind == "doughnut":
         return _doughnut_cross(_doughnut_b(profile, f), lo, hi)
     beam = profile.func
-    return _pupil_quad(lambda u: beam(f * (2.0 * u)) * _pupil_dipole(u) * u, lo, hi)
+
+    def cross_node(u: float) -> float:
+        # _pupil_dipole(u) inline, in its order of operations: the same bits
+        # in one Python frame per node
+        q = 1.0 + u * u
+        return beam(f * (2.0 * u)) * (2.0 * u / q / q) * u
+    return _pupil_quad(cross_node, lo, hi)
 
 
 # Cone antiderivatives: integrals of sin^k from the axis to t in [0, pi].
@@ -660,8 +673,16 @@ def overlap_eta(profile: BeamProfile,
                 "a doughnut profile is defined on a mirror pupil, not on a cone")
         else:
             beam = profile.func
-            cross = _quad(lambda t: beam(t) * math.sin(t) * math.sin(t), 0.0, alpha)
-            beam2 = _quad(lambda t: beam(t) ** 2 * math.sin(t), 0.0, alpha)
+
+            def cross_node(t: float) -> float:
+                s = math.sin(t)
+                return beam(t) * s * s
+
+            def power_node(t: float) -> float:
+                b = beam(t)
+                return b * b * math.sin(t)
+            cross = _quad(cross_node, 0.0, alpha)
+            beam2 = _quad(power_node, 0.0, alpha)
         return _overlap_from_integrals(cross, beam2, dip2)
 
     raise DomainError(

@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from itertools import islice, repeat
 from operator import attrgetter, index
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
-                    get_type_hints)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +64,8 @@ _MODEL_COUPLINGS = {"symmetric": SymmetricCoupling, "asymmetric": AsymmetricCoup
                     "kerr": SymmetricCoupling}
 MODELS = tuple(_MODEL_COUPLINGS)
 SWEEP_VARIABLES = ("delta", "s0", "s", "omega_n", "eta")
+# the drive parameters a SweepSpec may hold fixed
+_FIXED_PARAMETERS = ("delta", "s0", "s")
 
 Coupling = Union[SymmetricCoupling, AsymmetricCoupling]
 
@@ -142,9 +143,7 @@ class SweepSpec:
         if self.var not in SWEEP_VARIABLES:
             raise DomainError(
                 f"unknown sweep variable {self.var!r}; expected one of {SWEEP_VARIABLES}")
-        unknown = set(self.fixed) - {"delta", "s0", "s"}
-        if unknown:
-            raise DomainError(f"unknown fixed parameters: {sorted(unknown)}")
+        _check_fixed_names(self.fixed)
         for name, value in self.fixed.items():
             _check_real(f"fixed {name}", value)
         if self.var != "delta" and "delta" not in self.fixed:
@@ -159,6 +158,12 @@ class SweepSpec:
                 raise DomainError(
                     "exactly one of fixed 's0' or 's' is required, got "
                     f"{given or 'neither'}")
+
+
+def _check_fixed_names(fixed: Dict[str, float]) -> None:
+    unknown = set(fixed) - set(_FIXED_PARAMETERS)
+    if unknown:
+        raise DomainError(f"unknown fixed parameters: {sorted(unknown)}")
 
 
 def _check_model(model: str) -> type:
@@ -202,7 +207,9 @@ class ResultRow:
 CSV_COLUMNS = tuple(field.name for field in fields(ResultRow))
 _row_values = attrgetter(*CSV_COLUMNS)
 # Which columns hold text (branch, model) rather than numbers.
-_TEXT = tuple(get_type_hints(ResultRow)[name] is str for name in CSV_COLUMNS)
+# Under postponed annotations a field's type is its source text, so no hint
+# needs evaluating.
+_TEXT = tuple(field.type == "str" for field in fields(ResultRow))
 
 
 def row_to_dict(row: ResultRow) -> Dict[str, object]:

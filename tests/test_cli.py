@@ -523,6 +523,10 @@ EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
     (None, {**SWEEP_CONFIG, "fixed": [0.0]}, "'fixed' must be an object"),
     (None, {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "step": 0.5}},
      "unknown sweep keys: ['step']"),
+    # an unknown fixed key is named as unknown before any value is read
+    (None, {**SWEEP_CONFIG, "fixed": {"delta": 0.0, "s0": 0.1, "spacing": {}}},
+     "error: unknown fixed parameters: ['spacing']\n"),
+    (None, {**SWEEP_CONFIG, "fixed": {"s0": True}}, "error: s0 must be a JSON number, got True\n"),
     (None, {**SWEEP_CONFIG, "sweep": {"var": "delta", "stop": 0, "count": 11}},
      "error: missing sweep key: 'start'\n"),
     (None, {**SWEEP_CONFIG, "model": "bogus", "coupling": ASYMMETRIC_COUPLING},
@@ -537,7 +541,8 @@ EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
 ], ids=["symmetric-prime-flag", "kerr-prime-flag", "asymmetric-without-p",
         "bad-doughnut-waist", "config-list",
         "missing-section", "malformed-section", "sweep-string", "coupling-pairs",
-        "null-spacing", "var-list", "fixed-list", "unknown-sweep-key", "missing-sweep-key",
+        "null-spacing", "var-list", "fixed-list", "unknown-sweep-key", "unknown-fixed-key",
+        "bool-fixed-value", "missing-sweep-key",
         "unknown-model", "missing-coupling-keys", "unexpected-coupling-keys",
         "misspelt-coupling-key"])
 def test_refusal_is_usage_error(capsys, tmp_path, argv, config, message):

@@ -475,7 +475,10 @@ class TestRecollimation:
 
         def recording_quad(fn, lo, hi):
             probe = 0.5 * (lo + hi)
-            if fn(probe) == beam(f * (2.0 * probe)) ** 2 * probe:
+            # the power integrand's own arithmetic, so that no last-bit
+            # difference can hide a ring
+            b = beam(f * (2.0 * probe))
+            if fn(probe) == b * b * probe:
                 intervals.append((lo, hi))
             return real_quad(fn, lo, hi)
 
@@ -862,6 +865,38 @@ class TestCustomProfileAccuracy:
         # exact value from the closed-form kept power and a 30-digit exit cross term
         recol = recollimation_parameters(self.MIRROR, self.GAUSSIAN)
         assert recol.eta_prime == pytest.approx(0.181247278124023, rel=1e-12, abs=0.0)
+
+
+class TestCustomReproducesPresets:
+    # A custom amplitude equal to a preset goes through the quadrature path
+    # and must land on the preset's closed form: flat top for a constant, and
+    # an overlap of 1 for the dipole pattern itself.
+    RTOL = 4e-15
+
+    @pytest.mark.parametrize("geometry_", [
+        *(ConeAperture(alpha, AXIAL) for alpha in (1e-3, 0.1, 1.0, 2.0, 3.0, math.pi)),
+        ParabolicMirror(1.0, 4.0, 0.2),
+        ParabolicMirror(1.0, 20.0),
+        ParabolicMirror(1e100, 5e101, 3e98),
+    ], ids=["cone-1e-3", "cone-0.1", "cone-1", "cone-2", "cone-3", "cone-pi",
+            "holed", "hole-free", "scaled"])
+    def test_custom_equals_preset(self, geometry_):
+        flat = BeamProfile.flat_top()
+        if isinstance(geometry_, ConeAperture):
+            one, dipole = BeamProfile.custom(lambda t: 1.0), BeamProfile.custom(math.sin)
+        else:
+            one = BeamProfile.custom(lambda d: 1.0)
+            dipole = BeamProfile.custom(lambda d: pupil_dipole_profile(d, geometry_))
+        assert overlap_eta(one, geometry_) == pytest.approx(
+            overlap_eta(flat, geometry_), rel=self.RTOL, abs=0.0)
+        assert overlap_eta(dipole, geometry_) == pytest.approx(1.0, rel=self.RTOL, abs=0.0)
+        if isinstance(geometry_, ParabolicMirror):
+            got, want = (recollimation_parameters(geometry_, profile)
+                         for profile in (one, flat))
+            assert got.eta_prime == pytest.approx(want.eta_prime, rel=self.RTOL, abs=0.0)
+            assert got.p == pytest.approx(want.p, rel=self.RTOL, abs=0.0)
+            assert recollimation_parameters(geometry_, dipole).eta_prime == pytest.approx(
+                1.0, rel=self.RTOL, abs=0.0)
 
 
 class TestExtremeWaists:

@@ -235,6 +235,9 @@ class TestSerialization:
         assert text.endswith("\n")
         assert "\r" not in text
 
+    def test_text_columns(self):
+        assert [name for name, text in zip(CSV_COLUMNS, sweep._TEXT) if text] == ["branch", "model"]
+
     def test_csv_floats_round_trip(self):
         rows = run_sweep(spec_delta(count=7, s0=0.123))
         lines = rows_to_csv(rows).strip().split("\n")[1:]
