@@ -41,7 +41,12 @@ b = 2f/w: the first term is the rounding of the exponent (b u1)^2, the
 last the -ln x of E1's series that the tails cancel where x = a (1 + t)
 is small.  No preset integral uses a quadrature rule; adaptive quadrature
 remains only for custom profiles, on pupil pieces cut a decade apart from
-the outer end (see ``BeamProfile``).
+the outer end (see ``BeamProfile``).  It calls QUADPACK's QAGS routine (R.
+Piessens et al., *QUADPACK*, Springer 1983) once per piece and judges the
+pieces of one integral together: the integral is refused with
+``DegenerateResultError`` when the error estimates of the pieces QAGS
+flagged add up to more than the relative tolerance of their sum.  No
+``IntegrationWarning`` reaches the caller.
 
 Each public call evaluates each distinct integral once.  A matched
 profile's cross term and power are its dipole norm.  The re-collimated
@@ -56,9 +61,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from scipy.integrate import quad
+from scipy.integrate._quadpack import _qagse
 
 from . import _EXPORTS
 from .errors import DegenerateResultError, DomainError, _check_real
@@ -69,6 +74,7 @@ __all__ = list(_EXPORTS["geometry"])
 # accuracy, and an identically zero integrand integrates to exactly 0.
 _EPSABS = 0.0
 _EPSREL = 1e-12
+_LIMIT = 200           # subintervals QUADPACK may bisect each piece into
 _GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = 2.0 ** -52      # the spacing of floats in [1, 2)
 _TINY = 2.0 ** -1022   # the smallest normal float
@@ -218,14 +224,19 @@ class BeamProfile:
     evaluated on the native coordinate of the aperture: pupil radius for
     mirrors, polar angle for cones.
 
-    A custom profile is integrated by adaptive quadrature to a relative
-    tolerance of 1e-12.  On a mirror pupil the interval [lo, hi] in
-    u = d / 2f is first cut at hi 10^-k, k = 1, 2, ..., at every such point
-    above max(lo, 1e-6), so each piece but the innermost spans at most a
-    decade, and an interval narrower than a decade is one piece.  The rule
-    sees an amplitude only at its nodes: structure narrower than about 1%
-    of its radius (a thin ring, say) can fall between them and be missed,
-    and the overlap then comes back near 0 or is refused as zero-norm.
+    A custom profile is integrated by adaptive quadrature (QUADPACK's QAGS)
+    to a relative tolerance of 1e-12.  On a mirror pupil the interval
+    [lo, hi] in u = d / 2f is first cut at hi 10^-k, k = 1, 2, ..., at every
+    such point above max(lo, 1e-6), so each piece but the innermost spans
+    at most a decade, and an interval narrower than a decade is one piece.
+    Each integral is a value within the tolerance or a
+    ``DegenerateResultError`` whose message gives the error estimate: the
+    estimates of the pieces QAGS could not bring within tolerance must add
+    up to at most 1e-12 of the whole integral.  No ``IntegrationWarning``
+    reaches the caller.  The rule sees an amplitude only at its nodes:
+    structure narrower than about 1% of its radius (a thin ring, say) can
+    fall between them and be missed, with no flag raised, and the overlap
+    then comes back near 0 or is refused as zero-norm.
     """
 
     kind: str
@@ -257,19 +268,40 @@ class BeamProfile:
         return cls(kind="custom", func=func)
 
 
-def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    # the integrands square by multiplication, so an overflowing square is an
-    # inf, refused below; an amplitude may still raise OverflowError itself
+def _quad(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
+    # QUADPACK's QAGS, the routine scipy's quad calls for finite bounds, without
+    # quad's Python wrapper (tests pin the private binding against quad):
+    # (value, error estimate) where QAGS flags the piece (ier > 0), (value,
+    # 0.0) where it reached the tolerance.  The integrands square by
+    # multiplication, so an overflowing square is an inf, refused by
+    # _integral; an amplitude may still raise OverflowError itself
     try:
-        value, _ = quad(fn, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
+        value, error, ier = _qagse(fn, lo, hi, (), 0, _EPSABS, _EPSREL, _LIMIT)
     except OverflowError as exc:
         raise DomainError(
             f"custom profile leaves the floating-point range: {exc}") from exc
+    return value, (error if ier else 0.0)
+
+
+def _integral(fn: Callable[[float], float], cuts: Sequence[float]) -> float:
+    """fn integrated over [cuts[0], cuts[-1]], one adaptive rule per piece
+    between neighbouring cuts, judged as a whole."""
+    total = missed = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        value, error = _quad(fn, a, b)
+        total += value
+        missed += error
     # checked once per integral, not per integrand call: a NaN or infinite
     # amplitude anywhere leaves a non-finite integral
-    if not math.isfinite(value):
-        raise DomainError(f"custom profile gives a non-finite integral ({value!r})")
-    return value
+    if not math.isfinite(total):
+        raise DomainError(f"custom profile gives a non-finite integral ({total!r})")
+    # a flagged piece whose error is negligible against the whole (an
+    # underflowed tail, say) leaves the integral within its tolerance
+    if missed > _EPSREL * abs(total):
+        raise DegenerateResultError(
+            f"custom-profile quadrature misses its relative tolerance {_EPSREL}: "
+            f"error estimate {missed!r} on an integral of {total!r}")
+    return total
 
 
 # Cuts a decade apart, counted down from the outer end to u = 1e-6, keep the
@@ -278,7 +310,8 @@ def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
     cuts = [hi]
     while cuts[0] / 10.0 > max(lo, 1e-6):
         cuts.insert(0, cuts[0] / 10.0)
-    return sum(_quad(fn, a, b) for a, b in zip([lo] + cuts, cuts))
+    cuts.insert(0, lo)
+    return _integral(fn, cuts)
 
 
 def _horner(coeffs: Tuple[float, ...], x: float) -> float:
@@ -681,8 +714,8 @@ def overlap_eta(profile: BeamProfile,
             def power_node(t: float) -> float:
                 b = beam(t)
                 return b * b * math.sin(t)
-            cross = _quad(cross_node, 0.0, alpha)
-            beam2 = _quad(power_node, 0.0, alpha)
+            cross = _integral(cross_node, (0.0, alpha))
+            beam2 = _integral(power_node, (0.0, alpha))
         return _overlap_from_integrals(cross, beam2, dip2)
 
     raise DomainError(

@@ -7,6 +7,7 @@ pupil remap against ring-by-ring energy conservation.
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad, quad
+from scipy.integrate._quadpack import _qagse
 
 from atomphase import (
     AtomPhaseError,
@@ -390,10 +392,13 @@ class TestOverlap:
     @pytest.mark.parametrize("geometry_", [ParabolicMirror(1.0, 4.0, 0.2),
                                            ConeAperture(1.0, AXIAL)])
     def test_nan_custom_profile_rejected(self, geometry_):
-        # quad warns about the NaN integrand before returning NaN
-        with pytest.warns(IntegrationWarning):
+        # QUADPACK flags the NaN integrand, but the caller sees only the
+        # refusal: no IntegrationWarning, nor any other warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(DomainError, match="non-finite"):
                 overlap_eta(BeamProfile.custom(lambda d: math.nan), geometry_)
+        assert caught == []
 
     @pytest.mark.parametrize("geometry_", [ParabolicMirror(1.0, 4.0, 0.2),
                                            ConeAperture(1.0, AXIAL)])
@@ -498,7 +503,8 @@ class TestRecollimation:
         # the pieces tile [lo, hi], each but the innermost spans a factor of
         # at most 10, and the innermost ends within a decade of max(lo, 1e-6)
         pieces = []
-        monkeypatch.setattr(geometry, "_quad", lambda fn, a, b: pieces.append((a, b)) or 0.0)
+        monkeypatch.setattr(geometry, "_quad",
+                            lambda fn, a, b: pieces.append((a, b)) or (0.0, 0.0))
         geometry._pupil_quad(lambda u: u, lo, hi)
         pieces.sort()
         assert pieces[0][0] == lo and pieces[-1][1] == hi
@@ -865,6 +871,87 @@ class TestCustomProfileAccuracy:
         # exact value from the closed-form kept power and a 30-digit exit cross term
         recol = recollimation_parameters(self.MIRROR, self.GAUSSIAN)
         assert recol.eta_prime == pytest.approx(0.181247278124023, rel=1e-12, abs=0.0)
+
+
+class TestQuadpackRoutine:
+    # geometry._quad calls scipy's private binding of QUADPACK's QAGS, the
+    # routine quad itself calls for finite bounds.  If scipy renames it or
+    # changes what it returns, these tests name the cause.
+    ARGS = ((), 0, geometry._EPSABS, geometry._EPSREL, geometry._LIMIT)
+    QUAD = dict(epsabs=geometry._EPSABS, epsrel=geometry._EPSREL, limit=geometry._LIMIT)
+
+    @pytest.mark.parametrize("fn, lo, hi", [
+        (lambda x: math.exp(-x * x), 0.0, 3.0),
+        (lambda x: x ** -0.4, 0.0, 2.0),
+        (lambda x: math.exp(-((x - 1e-3) / 1e-5) ** 2), 5e-4, 2e-3),
+    ], ids=["gaussian", "d^-0.4", "narrow-ring"])
+    def test_same_bits_as_quad(self, fn, lo, hi):
+        value, error, ier = _qagse(fn, lo, hi, *self.ARGS)
+        assert ier == 0
+        assert (value, error) == quad(fn, lo, hi, **self.QUAD)
+        # a piece within its tolerance carries no error into _integral
+        assert geometry._quad(fn, lo, hi) == (value, 0.0)
+
+    def test_flags_what_quad_warns_about(self):
+        # 200 subintervals cannot resolve 16 000 periods: quad warns, while
+        # the routine returns the same value with ier > 0 and a finite
+        # estimate, which _quad passes on
+        fn = lambda x: math.cos(1000.0 * x)
+        value, error, ier = _qagse(fn, 0.0, 100.0, *self.ARGS)
+        with pytest.warns(IntegrationWarning):
+            expected = quad(fn, 0.0, 100.0, **self.QUAD)
+        assert ier > 0 and math.isfinite(error) and error > 0.0
+        assert (value, error) == expected
+        assert geometry._quad(fn, 0.0, 100.0) == (value, error)
+
+
+class TestCustomRefusal:
+    # An integral is judged as a whole: it is refused when the error
+    # estimates of the pieces QUADPACK flags add up to more than the relative
+    # tolerance of the sum.
+
+    @pytest.mark.parametrize("errors, refused", [
+        ((0.0, 0.0), False), ((1e-12, 1e-12), False), ((2e-12, 5e-13), True),
+        ((3e-12, 0.0), True)])
+    def test_flagged_errors_add_up(self, errors, refused, monkeypatch):
+        # two pieces of value 1 each: a tolerance of 2e-12 on the whole
+        pieces = iter(errors)
+        monkeypatch.setattr(geometry, "_quad", lambda fn, a, b: (1.0, next(pieces)))
+        if refused:
+            with pytest.raises(DegenerateResultError, match="error estimate"):
+                geometry._integral(lambda x: x, (0.0, 1.0, 2.0))
+        else:
+            assert geometry._integral(lambda x: x, (0.0, 1.0, 2.0)) == 2.0
+
+    def test_negligible_flagged_piece_is_kept(self, monkeypatch):
+        # quad warned on this design ("maximum number of subdivisions"): one
+        # piece is flagged, but its error is negligible against the whole
+        mirror = ParabolicMirror(1.0, 273021.54331049783)
+        beam = BeamProfile.custom(lambda d: math.exp(-(d / 144.2804400555379) ** 2))
+        flagged, real_quad = [], geometry._quad
+
+        def recording_quad(fn, lo, hi):
+            value, error = real_quad(fn, lo, hi)
+            if error:
+                flagged.append((lo, hi, error))
+            return value, error
+
+        monkeypatch.setattr(geometry, "_quad", recording_quad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = (overlap_eta(beam, mirror), *recollimation_parameters(mirror, beam)[1:])
+        assert flagged
+        assert all(0.0 <= v <= 1.0 for v in values), values
+
+    def test_missed_tolerance_refused(self):
+        # the kept power's error estimate is 1.09e-198 on 3.03e-190: far
+        # outside the tolerance, so there is no value to return
+        mirror = ParabolicMirror(3.854383871903042e-132, 7.360868477243566e-125)
+        beam = BeamProfile.custom(lambda d: math.exp(-(d / 4.129357929148996e-140) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateResultError, match="error estimate"):
+                recollimation_parameters(mirror, beam)
 
 
 class TestCustomReproducesPresets:
@@ -1363,6 +1450,27 @@ searches = st.one_of(
     st.tuples(_running, st.integers(0, 6), anything).map(
         lambda t: t[0][:t[1]] + (t[2],) + t[0][t[1] + 1:] if t[1] < 6 else t[0]))
 
+# (f, R/f, w/f, h/R) of a custom Gaussian beam on a mirror, half of them
+# hole-free: the draw on which quad once warned instead of refusing
+custom_gaussians = (log_uniform(1e-150, 1e150), log_uniform(1e-3, 1e12), log_uniform(1e-8, 1e8),
+                    st.one_of(st.just(0.0), log_uniform(1e-3, 10.0 ** -0.01)))
+
+
+def _custom_gaussian(call):
+    def design(f, r, w, h):
+        mirror = ParabolicMirror(f, r * f, h * (r * f))
+        width = w * f
+
+        def beam(d):
+            x = d / width
+            return math.exp(-x * x)
+        # a warning of any kind fails the example
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call(mirror, BeamProfile.custom(beam))
+    return design
+
+
 # the design calls, whose values also lie in [0, 1]
 DESIGNS = {
     "cone_weighted_solid_angle": (
@@ -1380,6 +1488,11 @@ DESIGNS = {
         lambda f, r, h, kind, waist: recollimation_parameters(ParabolicMirror(f, r, h),
                                                               _profile(kind, waist)),
         (lengths,) * 3 + profiles),
+    "overlap_eta-custom": (
+        _custom_gaussian(lambda mirror, beam: overlap_eta(beam, mirror)), custom_gaussians),
+    "recollimation_parameters-custom": (
+        _custom_gaussian(lambda mirror, beam: recollimation_parameters(mirror, beam)),
+        custom_gaussians),
 }
 
 TOTAL = {
