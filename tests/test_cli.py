@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -35,7 +36,15 @@ from atomphase import (
     phase_symmetric,
 )
 from atomphase.cli import build_parser, main
-from atomphase.sweep import MAX_COUNT, MODELS, SWEEP_VARIABLES, _check_model
+from atomphase.sweep import (
+    FIGURE_PRESETS,
+    MAX_COUNT,
+    MODELS,
+    SWEEP_VARIABLES,
+    _check_model,
+    figure_preset,
+    write_sweep,
+)
 
 
 def run_cli(capsys, *argv):
@@ -626,14 +635,17 @@ class TestStrictJson:
 
 
 # a child that runs the function the `atomphase` script of [project.scripts] calls
-RUN = "import sys; from atomphase.__main__ import run; sys.exit(run())"
+RUN = "from atomphase.__main__ import entry; entry()"
+# the two process entries: `python -m atomphase` and the script's function
+ENTRIES = {"module": ("-m", "atomphase"), "script": ("-c", RUN)}
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(atomphase.__file__)))
 
 
-def child(*argv):
-    """A fresh interpreter on this tree's package, its output as bytes."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+def child(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
+    """A fresh interpreter on this tree's package, its output as bytes; env
+    entries override the caller's (PYTHONUNBUFFERED="" buffers the streams)."""
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=stderr, env=env)
 
 
 class TestEntryPoint:
@@ -680,6 +692,111 @@ class TestEntryPoint:
             [sys.executable, "-m", "atomphase", "frobnicate"],
             capture_output=True, text=True)
         assert result.returncode == 2
+
+
+# the entry ends the process with os._exit once stdout and stderr are
+# flushed: nothing written may be lost, and every failure keeps main's exit
+# code and its one stderr line (a usage error: test_module_and_run_agree)
+STUB_RUN = """
+import sys, atomphase.__main__ as entry_point
+def run():
+    sys.{stream}.write("unflushed")
+    return 0
+entry_point.run = run
+entry_point.entry()
+"""
+
+
+class TestEntryContract:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_sweep_on_a_full_device(self, tmp_path, entry, unbuffered):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(  # several 1024-row chunks
+            {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "count": 5000}}))
+        with open("/dev/full", "wb") as full:
+            result = child(*ENTRIES[entry], "sweep", "--config", str(config),
+                           "--format", "json", stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert result.returncode == 2
+        assert result.stderr == b"error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_figures_files_are_whole(self, tmp_path, entry):
+        result = child(*ENTRIES[entry], "figures", "--name", "fig2", "--out", str(tmp_path))
+        assert result.returncode == 0 and result.stderr == b""
+        preset = figure_preset("fig2")
+        paths = [tmp_path / f"fig2-{series.name}.csv" for series in preset.series]
+        assert result.stdout.decode().splitlines() == list(map(str, paths))
+        for series, path in zip(preset.series, paths):
+            text = io.StringIO()
+            write_sweep(series.spec, text.write, comments=series.notes)
+            assert path.read_bytes() == text.getvalue().encode("utf-8")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_final_flush_on_a_full_device(self):
+        # output still buffered when main returns: the entry's own flush fails
+        with open("/dev/full", "wb") as full:
+            result = child("-c", STUB_RUN.format(stream="stdout"), stdout=full,
+                           PYTHONUNBUFFERED="")
+        assert result.returncode == 2
+        assert result.stderr == b"error: [Errno 28] No space left on device\n"
+
+    def test_final_flush_into_a_closed_pipe(self):
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": ""}
+        proc = subprocess.Popen([sys.executable, "-c", STUB_RUN.format(stream="stdout")],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()   # before the child can have flushed anything
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_final_stderr_flush_fails(self):
+        with open("/dev/full", "wb") as full:
+            result = child("-c", STUB_RUN.format(stream="stderr"), stderr=full,
+                           PYTHONUNBUFFERED="")
+        assert (result.returncode, result.stdout) == (2, b"")
+
+
+# the peak RSS of a call against the floor of its imports, each the median
+# of three children started by a small process: a child's ru_maxrss starts
+# at the RSS of the process that forked it, so a pytest parent would mask it
+SPAWN = """
+import json, os, statistics, subprocess, sys
+calls = json.loads(sys.argv[1])
+peaks = {name: [] for name in calls}
+for _ in range(3):
+    procs = {name: subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+             for name, argv in calls.items()}
+    for name, proc in procs.items():
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, (name, proc.returncode)
+        peaks[name].append(usage.ru_maxrss / 1024.0)
+print(json.dumps({name: statistics.median(mb) for name, mb in peaks.items()}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_peak_rss_over_the_import_floor(tmp_path):
+    # compiled from source, as under PYTHONDONTWRITEBYTECODE=1 with no
+    # __pycache__: the compile of sweep.py must not stack on the loaded
+    # scipy, and interpreter shutdown must not run.  PYTHONPYCACHEPREFIX
+    # would make numpy and scipy compile too.
+    shutil.copytree(os.path.dirname(atomphase.__file__), tmp_path / "atomphase",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    calls = {
+        "floor": [sys.executable, "-c", "import numpy, scipy.integrate._quadpack"],
+        "eval": [sys.executable, "-m", "atomphase", *EVAL, "--model", "symmetric"],
+        "figures": [sys.executable, "-m", "atomphase", "figures", "--name", "fig2",
+                    "--out", str(tmp_path / "out")],
+    }
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-c", SPAWN, json.dumps(calls)],
+                            capture_output=True, text=True, env=env, check=True)
+    peak = json.loads(result.stdout)
+    assert peak["eval"] - peak["floor"] <= 1.5, peak
+    assert peak["figures"] - peak["floor"] <= 1.5, peak
 
 
 # ------------------------------------------------------------------- fuzz
@@ -851,7 +968,8 @@ def configs(draw):
 
 def check_main(argv, config):
     """Run cli.main in a temporary working directory holding config.json,
-    and check the exit code, stderr and stdout."""
+    check the exit code, stderr, stdout and the files of a figures call, and
+    return the exit code."""
     cwd, out, err = os.getcwd(), io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "config.json"), "wb") as fh:
@@ -861,17 +979,35 @@ def check_main(argv, config):
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
+            parsed = True
         except SystemExit as exc:
-            code = exc.code
+            code, parsed = exc.code, False
         finally:
             os.chdir(cwd)
-    out, err = out.getvalue(), err.getvalue()
+        out, err = out.getvalue(), err.getvalue()
+        if parsed and argv[0] == "figures":
+            check_figures(build_parser().parse_args(argv), code, out, err, tmp)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code != 0:
         assert out == ""
     if out.startswith(("{", "[")):
         json.loads(out, parse_constant=reject_constant)
+    return code
+
+
+def check_figures(args, code, out, err, cwd):
+    """A figures call run in cwd writes every file of its preset and lists
+    them, or exits 2 with one stderr line that names its --out path."""
+    preset = figure_preset(args.name)
+    paths = [os.path.join(args.out, f"{preset.name}-{series.name}.csv")
+             for series in preset.series]
+    if code == 0:
+        assert out.splitlines() == paths and err == ""
+        assert all(os.path.isfile(os.path.join(cwd, path)) for path in paths)
+    else:
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: ") and args.out in err
 
 
 class TestFuzz:
@@ -884,6 +1020,15 @@ class TestFuzz:
     @given(fmt=st.sampled_from(["csv", "json"]), config=configs())
     def test_any_sweep_config(self, fmt, config):
         check_main(["sweep", "--config", InTmp("config.json"), "--format", fmt], config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(FIGURE_PRESETS),
+           out=st.sampled_from(sorted(set(PATHS["--out"]) | {"out/sub/deeper"})))
+    def test_figures_out_target(self, name, out):
+        # a directory, missing or not, or a path under a missing one is made
+        # and written; an existing file, or a path under one, is refused
+        code = check_main(["figures", "--name", name, "--out", InTmp(out)], b"{}")
+        assert code == (2 if out.startswith("config.json") else 0)
 
     @pytest.mark.parametrize("text", [
         b"[" * 100000 + b"]" * 100000,
