@@ -7,7 +7,6 @@ that stay in process.
 
 import gc
 import os
-import sys
 from typing import NoReturn
 
 
@@ -30,35 +29,20 @@ def run() -> int:
 
 
 def entry() -> NoReturn:
-    """Run the command line, flush stdout and stderr, and end the process.
+    """Run the command line and end the process with ``os._exit``.
 
-    Once ``main`` has returned and both streams are flushed, the output is
-    complete, so the process ends with ``os._exit``: the interpreter's
-    shutdown (module teardown, the final collection, C-level atexit work
-    such as OpenBLAS's) would only free memory the kernel takes back
-    anyway, and on a shared 2-vCPU host it cost an ``eval`` ~13 ms and
-    ~1 MB of peak RSS.
-
-    A failed flush exits 2 with one ``error:`` line, or with none for a
-    closed pipe, as ``cli.main`` does for a failed write.  A usage error or
-    ``--help`` leaves through argparse's ``SystemExit`` and the ordinary
-    shutdown, with its exit code unchanged.
+    ``cli._finish`` flushes and reports the output, argparse's exit
+    (``--help``, a usage error) included, so the interpreter's shutdown
+    (module teardown, the final collection, C-level atexit work such as
+    OpenBLAS's) has nothing left to do; skipping it saved an ``eval``
+    ~13 ms and ~1 MB of peak RSS on a shared 2-vCPU host.
     """
-    status = run()
     try:
-        sys.stdout.flush()
-    except OSError as exc:
-        status = 2
-        if not isinstance(exc, BrokenPipeError):
-            try:
-                sys.stderr.write(f"error: {exc}\n")
-            except OSError:
-                pass
-    try:
-        sys.stderr.flush()
-    except OSError:
-        status = 2
-    os._exit(status)
+        status = run()
+    except SystemExit as exc:
+        status = exc.code
+    from .cli import _finish
+    os._exit(_finish(status))
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ stdout), ``figures`` (preset curve bundles to CSV files), ``geometry``
 (cone and mirror coupling parameters as JSON).
 
 Exit codes: 0 success, 1 domain or degenerate error, 2 usage or config
-parse error, or an I/O failure on the config or the output.  Negative
-option values are safest in the ``--opt=value`` form, e.g.
-``--delta=-0.5``.
+parse error, an I/O failure on the config or an output file, or any failed
+write or flush of stdout or stderr (one ``error:`` line at most, none for
+a closed pipe).  Negative option values are safest in the
+``--opt=value`` form, e.g. ``--delta=-0.5``.
 """
 
 from __future__ import annotations
@@ -237,11 +238,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_figures(args) -> int:
     preset = figure_preset(args.name)
     os.makedirs(args.out, exist_ok=True)
-    for series in preset.series:
-        path = os.path.join(args.out, f"{preset.name}-{series.name}.csv")
+    paths = [os.path.join(args.out, f"{preset.name}-{series.name}.csv")
+             for series in preset.series]
+    for series, path in zip(preset.series, paths):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_sweep(series.spec, fh.write, comments=series.notes)
-        sys.stdout.write(path + "\n")
+    # listed once every file is written: a failed call prints nothing
+    sys.stdout.write("".join(path + "\n" for path in paths))
     return 0
 
 
@@ -289,28 +292,34 @@ def _cmd_geometry_mirror(args) -> int:
     return 0
 
 
+def _finish(status: int, error: Optional[Exception] = None) -> int:
+    """End a call: flush stdout, report ``error`` on one ``error:`` line,
+    flush stderr, and return 2 if any of that failed, else ``status``.
+
+    A closed pipe is the reader's choice, not an error to report.  A stdout
+    that fails to flush is pointed at the null device, so no later flush
+    fails again and a second call writes no second line.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        status, error = 2, error or exc
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    try:
+        if error is not None and not isinstance(error, BrokenPipeError):
+            sys.stderr.write(f"error: {error}\n")
+        sys.stderr.flush()
+    except OSError:
+        status = 2
+    return status
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.handler(args)
-        # flushed here, so that an output failure reaches the handler below
-        sys.stdout.flush()
-        return status
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _finish(args.handler(args))
+    except (ConfigError, OSError) as exc:
+        return _finish(2, exc)
     except AtomPhaseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        # a closed pipe is the reader's choice, not an error to report
-        if not isinstance(exc, BrokenPipeError):
-            sys.stderr.write(f"error: {exc}\n")
-        try:
-            sys.stdout.flush()
-        except OSError:
-            # stdout itself failed, and the interpreter's final flush would
-            # fail again: what is left goes to the null device
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
+        return _finish(1, exc)

@@ -35,7 +35,7 @@ from atomphase import (
     phase_asymmetric,
     phase_symmetric,
 )
-from atomphase.cli import build_parser, main
+from atomphase.cli import _finish, build_parser, main
 from atomphase.sweep import (
     FIGURE_PRESETS,
     MAX_COUNT,
@@ -583,6 +583,29 @@ class TestOutputFailures:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_figures_lists_no_path_before_a_failure(self, capsys, tmp_path):
+        # the third file of fig2 is taken by a directory: the first two are
+        # written, but none is listed on stdout
+        taken = tmp_path / "fig2-dotted.csv"
+        taken.mkdir()
+        code, out, err = run_cli(capsys, "figures", "--name", "fig2", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(taken) in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_finish_reports_once(self, capsys, monkeypatch):
+        # as main and then the process entry call it: the second call finds
+        # stdout on the null device and writes no second line
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            full.write("lost")
+            first = _finish(0)
+            second = _finish(first)
+        err = capsys.readouterr().err
+        assert (first, second) == (2, 2)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_reader_closes_the_pipe(self, tmp_path):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(
@@ -756,6 +779,44 @@ class TestEntryContract:
             result = child("-c", STUB_RUN.format(stream="stderr"), stderr=full,
                            PYTHONUNBUFFERED="")
         assert (result.returncode, result.stdout) == (2, b"")
+
+    # stderr on a full device: exit 2 in both buffering modes.  Python exits
+    # 120 when its own final flush fails, after an "Exception ignored"
+    # message that a full stderr swallows; the exit code is what shows it.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--model", "symmetric", "--omega-n", "1.5", "--eta", "1",
+         "--delta", "0", "--s0", "0"),
+        ("eval", "--model", "symmetric"),
+    ], ids=["domain-error", "usage-error"])
+    def test_error_line_on_a_full_device(self, entry, unbuffered, argv):
+        with open("/dev/full", "wb") as full:
+            result = child(*ENTRIES[entry], *argv, stderr=full,
+                           PYTHONUNBUFFERED=unbuffered)
+        assert (result.returncode, result.stdout) == (2, b"")
+
+    # --help leaves through argparse's SystemExit, whose output the entry
+    # flushes too.  Buffered only: unbuffered, each write reaches the device
+    # at once, argparse's _print_message swallows its OSError and the call
+    # exits 0; that is argparse's behaviour, not the entry's.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_help_on_a_full_device(self, entry):
+        with open("/dev/full", "wb") as full:
+            result = child(*ENTRIES[entry], "--help", stdout=full, PYTHONUNBUFFERED="")
+        assert result.returncode == 2
+        assert result.stderr == b"error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_help_into_a_closed_pipe(self, entry):
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": ""}
+        proc = subprocess.Popen([sys.executable, *ENTRIES[entry], "--help"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()   # long before the child has imported cli
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"")
 
 
 # the peak RSS of a call against the floor of its imports, each the median
