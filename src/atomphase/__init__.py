@@ -50,6 +50,7 @@ _EXPORTS = {
         "Recollimation",
         "WaistOptimum",
         "cone_weighted_solid_angle",
+        "mirror_coupling",
         "mirror_weighted_solid_angle",
         "optimize_waist",
         "overlap_eta",

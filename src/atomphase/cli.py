@@ -45,9 +45,7 @@ from .geometry import (
     DipoleOrientation,
     ParabolicMirror,
     cone_weighted_solid_angle,
-    mirror_weighted_solid_angle,
-    overlap_eta,
-    recollimation_parameters,
+    mirror_coupling,
 )
 
 __all__ = ["main", "build_parser"]
@@ -66,8 +64,19 @@ _REQUIRED = {field.name for field in fields(SymmetricCoupling)}
 _PRIME_FLAGS = [flag for key, flag in _FLAGS.items() if key not in _REQUIRED]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose failed writes raise, as every other output's
+    do; subparsers are of the same class (argparse's ``parser_class``)."""
+
+    def _print_message(self, message, file=None):
+        # argparse's own swallows an OSError: unbuffered, ``--help`` into a
+        # full device would exit 0
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atomphase",
         description="Phase shift of a focused beam driven through a single "
                     "two-level atom.",
@@ -277,18 +286,15 @@ def _cmd_geometry_mirror(args) -> int:
         aperture_radius=args.aperture_radius,
         hole_radius=args.hole_radius,
     )
-    profile = None if args.profile is None else _parse_profile(args.profile)
-    # omega_n_prime is profile independent; use a flat top when none given
-    recol = recollimation_parameters(mirror, profile or BeamProfile.flat_top())
-    payload = {
-        "omega_n": mirror_weighted_solid_angle(mirror),
-        "omega_n_prime": recol.omega_n_prime,
-    }
-    if profile is not None:
-        payload["eta"] = overlap_eta(profile, mirror)
-        payload["eta_prime"] = recol.eta_prime
-        payload["p"] = recol.p
-    _print_json(payload)
+    if args.profile is None:
+        # omega_n_prime is profile independent, and a dipole-matched beam's
+        # integrals are the closed-form dipole norms that give both weights
+        coupling = mirror_coupling(mirror, BeamProfile.dipole_matched())
+        keys = ("omega_n", "omega_n_prime")
+    else:
+        coupling = mirror_coupling(mirror, _parse_profile(args.profile))
+        keys = ("omega_n", "omega_n_prime", "eta", "eta_prime", "p")
+    _print_json({key: getattr(coupling, key) for key in keys})
     return 0
 
 
@@ -304,7 +310,9 @@ def _finish(status: int, error: Optional[Exception] = None) -> int:
         sys.stdout.flush()
     except OSError as exc:
         status, error = 2, error or exc
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     try:
         if error is not None and not isinstance(error, BrokenPipeError):
             sys.stderr.write(f"error: {error}\n")
@@ -316,8 +324,8 @@ def _finish(status: int, error: Optional[Exception] = None) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return _finish(args.handler(args))
     except (ConfigError, OSError) as exc:
         return _finish(2, exc)

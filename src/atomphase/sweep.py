@@ -129,7 +129,7 @@ class SweepSpec:
 
     ``fixed`` supplies the non-swept drive parameters by name: ``delta``
     plus exactly one of ``s0`` or ``s`` (a fixed ``s`` is converted to s0
-    per point via s0 = s (1 + 4 delta^2)).
+    per point via s0 = s (1 + 4 delta^2)).  It never holds the swept one.
     """
 
     model: str
@@ -146,7 +146,10 @@ class SweepSpec:
         _check_fixed_names(self.fixed)
         for name, value in self.fixed.items():
             _check_real(f"fixed {name}", value)
-        if self.var != "delta" and "delta" not in self.fixed:
+        if self.var == "delta":
+            if "delta" in self.fixed:
+                raise DomainError("fixed 'delta' conflicts with sweeping delta")
+        elif "delta" not in self.fixed:
             raise DomainError("a fixed 'delta' is required unless delta is swept")
         if self.var in ("s0", "s"):
             if "s0" in self.fixed or "s" in self.fixed:

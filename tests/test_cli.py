@@ -419,6 +419,26 @@ class TestGeometry:
         assert payload["omega_n"] == expected
         np.testing.assert_allclose(payload["omega_n_prime"], 0.792, atol=1e-3)
 
+    def test_mirror_without_profile_integrates_no_beam(self, capsys):
+        # a flat-top beam's annulus power overflows past R/f = 3.79e154; no
+        # beam is asked for, and the weights are those of --profile matched
+        argv = ("geometry", "mirror", "--f", "1", "--R", "1e160", "--hole", "0")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"omega_n": 1.0, "omega_n_prime": 1.0}
+        code, matched, _ = run_cli(capsys, *argv, "--profile", "matched")
+        assert code == 0
+        assert json.loads(matched) == {"omega_n": 1.0, "omega_n_prime": 1.0,
+                                       "eta": 1.0, "eta_prime": 1.0, "p": 1.0}
+
+    @pytest.mark.parametrize("profile", ["flattop", "matched", "doughnut:1.3"])
+    def test_mirror_weights_do_not_depend_on_the_profile(self, capsys, profile):
+        argv = ("geometry", "mirror", "--f", "1", "--R", "4", "--hole", "0.2")
+        _, bare, _ = run_cli(capsys, *argv)
+        _, full, _ = run_cli(capsys, *argv, "--profile", profile)
+        weights = {key: json.loads(full)[key] for key in ("omega_n", "omega_n_prime")}
+        assert bare == json.dumps(weights, indent=2) + "\n"
+
     def test_mirror_with_flattop(self, capsys):
         code, out, _ = run_cli(capsys, "geometry", "mirror", "--f", "1",
                                "--R", "4", "--hole", "0.2",
@@ -536,6 +556,8 @@ EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
     (None, {**SWEEP_CONFIG, "fixed": {"delta": 0.0, "s0": 0.1, "spacing": {}}},
      "error: unknown fixed parameters: ['spacing']\n"),
     (None, {**SWEEP_CONFIG, "fixed": {"s0": True}}, "error: s0 must be a JSON number, got True\n"),
+    (None, {**SWEEP_CONFIG, "fixed": {"delta": 1, "s0": 0.0}},
+     "error: fixed 'delta' conflicts with sweeping delta\n"),
     (None, {**SWEEP_CONFIG, "sweep": {"var": "delta", "stop": 0, "count": 11}},
      "error: missing sweep key: 'start'\n"),
     (None, {**SWEEP_CONFIG, "model": "bogus", "coupling": ASYMMETRIC_COUPLING},
@@ -551,7 +573,7 @@ EVAL = ("eval", "--omega-n", "1", "--eta", "1", "--delta", "0", "--s0", "0")
         "bad-doughnut-waist", "config-list",
         "missing-section", "malformed-section", "sweep-string", "coupling-pairs",
         "null-spacing", "var-list", "fixed-list", "unknown-sweep-key", "unknown-fixed-key",
-        "bool-fixed-value", "missing-sweep-key",
+        "bool-fixed-value", "fixed-swept-delta", "missing-sweep-key",
         "unknown-model", "missing-coupling-keys", "unexpected-coupling-keys",
         "misspelt-coupling-key"])
 def test_refusal_is_usage_error(capsys, tmp_path, argv, config, message):
@@ -605,6 +627,18 @@ class TestOutputFailures:
         err = capsys.readouterr().err
         assert (first, second) == (2, 2)
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                        reason="needs /dev/full and /proc/self/fd")
+    def test_finish_leaks_no_descriptor(self, capsys, monkeypatch):
+        # the null device _finish points a failed stdout at is closed again
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            full.write("lost")
+            before = len(os.listdir("/proc/self/fd"))
+            assert _finish(0) == 2
+            assert len(os.listdir("/proc/self/fd")) == before
+        capsys.readouterr()
 
     def test_reader_closes_the_pipe(self, tmp_path):
         config = tmp_path / "sweep.json"
@@ -798,25 +832,27 @@ class TestEntryContract:
         assert (result.returncode, result.stdout) == (2, b"")
 
     # --help leaves through argparse's SystemExit, whose output the entry
-    # flushes too.  Buffered only: unbuffered, each write reaches the device
-    # at once, argparse's _print_message swallows its OSError and the call
-    # exits 0; that is argparse's behaviour, not the entry's.
+    # flushes too.  Unbuffered, each write reaches the device at once, and
+    # the parser's _print_message lets its OSError through to cli.main.
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_help_on_a_full_device(self, entry):
-        with open("/dev/full", "wb") as full:
-            result = child(*ENTRIES[entry], "--help", stdout=full, PYTHONUNBUFFERED="")
-        assert result.returncode == 2
-        assert result.stderr == b"error: [Errno 28] No space left on device\n"
+        for unbuffered in ("", "1"):
+            with open("/dev/full", "wb") as full:
+                result = child(*ENTRIES[entry], "--help", stdout=full,
+                               PYTHONUNBUFFERED=unbuffered)
+            assert result.returncode == 2, unbuffered
+            assert result.stderr == b"error: [Errno 28] No space left on device\n", unbuffered
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_help_into_a_closed_pipe(self, entry):
-        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": ""}
-        proc = subprocess.Popen([sys.executable, *ENTRIES[entry], "--help"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        proc.stdout.close()   # long before the child has imported cli
-        _, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (2, b"")
+        for unbuffered in ("", "1"):
+            env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+            proc = subprocess.Popen([sys.executable, *ENTRIES[entry], "--help"],
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            proc.stdout.close()   # long before the child has imported cli
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (2, b""), unbuffered
 
 
 # the peak RSS of a call against the floor of its imports, each the median

@@ -8,6 +8,7 @@ pupil remap against ring-by-ring energy conservation.
 import json
 import math
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from atomphase import (
     ParabolicMirror,
     SweepRange,
     cone_weighted_solid_angle,
+    mirror_coupling,
     mirror_weighted_solid_angle,
     optimize_waist,
     overlap_eta,
@@ -1282,9 +1284,74 @@ class TestPupilReference:
         # singular at the vertex
         for name, kind, f, r, h, *want in REFERENCE["custom_mirrors"]:
             mirror, profile = ParabolicMirror(f, r, h), BeamProfile.custom(self.CUSTOM[kind])
-            got = [overlap_eta(profile, mirror), *recollimation_parameters(mirror, profile)[1:]]
-            for value, exact in zip(got, want):
-                assert abs(value - exact) <= 1e-13 * exact, (name, kind, got, want)
+            coupling = mirror_coupling(mirror, profile)
+            for got in ([overlap_eta(profile, mirror),
+                         *recollimation_parameters(mirror, profile)[1:]],
+                        [coupling.eta, coupling.eta_prime, coupling.p]):
+                for value, exact in zip(got, want):
+                    assert abs(value - exact) <= 1e-13 * exact, (name, kind, got, want)
+
+
+def _separate_calls(mirror, profile):
+    """(omega_n, eta, omega_n_prime, eta_prime, p) by the separate calls, in
+    the order the geometry CLI made them, or the class of the first refusal."""
+    try:
+        omega_n = mirror_weighted_solid_angle(mirror)
+        recol = recollimation_parameters(mirror, profile)
+        return (omega_n, overlap_eta(profile, mirror), *recol)
+    except AtomPhaseError as exc:
+        return type(exc)
+
+
+class TestMirrorCoupling:
+    def test_fields_are_the_separate_calls(self):
+        # bit for bit, or the same refusal, over the golden geometry matrix
+        from test_golden import MIRRORS, PROFILES
+        refused = 0
+        for name, (f, r, h) in MIRRORS.items():
+            mirror = ParabolicMirror(f, r, h)
+            for kind, make in PROFILES.items():
+                profile = make(f)
+                want = _separate_calls(mirror, profile)
+                try:
+                    got = astuple(mirror_coupling(mirror, profile))
+                except AtomPhaseError as exc:
+                    got = type(exc)
+                    refused += 1
+                assert got == want, (name, kind, got, want)
+        assert 0 < refused < len(MIRRORS) * len(PROFILES)
+
+    # (R/f, h/f, w/f) of Gaussian beams exp(-(d/w)^2) at f = 1, one third
+    # hole-free, and the integrand evaluations overlap_eta and
+    # recollimation_parameters make on them
+    COUNTED = [(2.5, 0.0, 0.8), (2.5, 0.3, 1.5), (2.5, 1.2, 3.0),
+               (4.0, 0.0, 1.5), (4.0, 0.3, 3.0), (4.0, 1.2, 0.8),
+               (12.0, 0.0, 3.0), (12.0, 0.3, 0.8), (12.0, 1.2, 1.5)]
+    ETA_CALLS, RECOLLIMATION_CALLS = 2226, 1722
+
+    def test_custom_evaluation_count(self):
+        def calls(call, r, h, w):
+            count = [0]
+
+            def beam(d):
+                count[0] += 1
+                x = d / w
+                return math.exp(-x * x)
+            value = call(ParabolicMirror(1.0, r, h), BeamProfile.custom(beam))
+            return count[0], value
+
+        eta_calls = recol_calls = one_calls = 0
+        for r, h, w in self.COUNTED:
+            n, eta = calls(lambda m, b: overlap_eta(b, m), r, h, w)
+            eta_calls += n
+            n, recol = calls(recollimation_parameters, r, h, w)
+            recol_calls += n
+            n, coupling = calls(mirror_coupling, r, h, w)
+            one_calls += n
+            assert (coupling.omega_n_prime, coupling.eta_prime, coupling.p) == recol
+            assert abs(coupling.eta - eta) <= 4e-15 * eta, (r, h, w, coupling.eta, eta)
+        assert (eta_calls, recol_calls) == (self.ETA_CALLS, self.RECOLLIMATION_CALLS)
+        assert one_calls <= 0.65 * (eta_calls + recol_calls), one_calls
 
 
 def log_uniform(lo, hi):
@@ -1493,6 +1560,13 @@ DESIGNS = {
     "recollimation_parameters-custom": (
         _custom_gaussian(lambda mirror, beam: recollimation_parameters(mirror, beam)),
         custom_gaussians),
+    "mirror_coupling": (
+        lambda f, r, h, kind, waist: astuple(mirror_coupling(ParabolicMirror(f, r, h),
+                                                             _profile(kind, waist))),
+        (lengths,) * 3 + profiles),
+    "mirror_coupling-custom": (
+        _custom_gaussian(lambda mirror, beam: astuple(mirror_coupling(mirror, beam))),
+        custom_gaussians),
 }
 
 TOTAL = {
@@ -1528,7 +1602,17 @@ def test_finite_or_refused(name, data):
     (lambda: ConeAperture(1.0, "axial"), "orientation must be a DipoleOrientation"),
     (lambda: BeamProfile(kind="custom"), "requires a callable"),
     (lambda: overlap_eta(FLAT, "mirror"), "geometry must be"),
-], ids=["string-orientation", "custom-without-callable", "not-a-geometry"])
+    (lambda: overlap_eta("flattop", ParabolicMirror(1.0, 4.0, 0.5)),
+     "profile must be a BeamProfile, got 'flattop'"),
+    (lambda: recollimation_parameters(ParabolicMirror(1.0, 4.0, 0.5), None),
+     "profile must be a BeamProfile, got None"),
+    (lambda: mirror_coupling(ParabolicMirror(1.0, 4.0, 0.5), "matched"),
+     "profile must be a BeamProfile, got 'matched'"),
+    (lambda: optimize_waist(ParabolicMirror(1.0, 4.0, 0.5), family=lambda w: 3),
+     "profile must be a BeamProfile, got 3"),
+], ids=["string-orientation", "custom-without-callable", "not-a-geometry",
+        "overlap_eta-profile", "recollimation_parameters-profile", "mirror_coupling-profile",
+        "optimize_waist-family"])
 def test_refusals(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -21,7 +21,7 @@ PUBLIC = [
     "AtomPhaseError", "DegenerateResultError", "DomainError", "PoleError",
     "UndefinedRatioError",
     "BeamProfile", "ConeAperture", "DipoleOrientation", "ParabolicMirror", "RayMapping",
-    "Recollimation", "WaistOptimum", "cone_weighted_solid_angle",
+    "Recollimation", "WaistOptimum", "cone_weighted_solid_angle", "mirror_coupling",
     "mirror_weighted_solid_angle", "optimize_waist", "overlap_eta", "parabola_ray_map",
     "pupil_dipole_profile", "recollimation_parameters",
     "AsymmetricCoupling", "PhaseBranch", "PhaseResult", "SymmetricCoupling",
@@ -94,7 +94,7 @@ def test_first_use_imports_only_its_submodule():
     loaded = fresh("import sys, atomphase; atomphase.kerr_phase; atomphase.geometry; "
                    "print(' '.join(sorted(m for m in sys.modules "
                    "if m.startswith('atomphase.'))))").split()
-    # phase imports atom and errors; geometry imports errors
+    # phase imports atom and errors; geometry imports errors and phase
     assert loaded == ["atomphase.atom", "atomphase.errors", "atomphase.geometry",
                       "atomphase.phase"]
 

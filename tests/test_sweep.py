@@ -718,3 +718,9 @@ def test_fixed_s_conflicts_with_a_swept_s0():
     with pytest.raises(DomainError, match="conflict"):
         SweepSpec(model="symmetric", coupling=SymmetricCoupling(1.0, 1.0), var="s0",
                   range=SweepRange(0.0, 1.0, 3), fixed={"delta": 0.0, "s": 0.1})
+
+
+def test_fixed_delta_conflicts_with_a_swept_delta():
+    with pytest.raises(DomainError, match="^fixed 'delta' conflicts with sweeping delta$"):
+        SweepSpec(model="symmetric", coupling=SymmetricCoupling(1.0, 1.0), var="delta",
+                  range=SweepRange(0.0, 1.0, 3), fixed={"delta": 1.0, "s0": 0.1})
