@@ -52,11 +52,10 @@ Each public call evaluates each distinct integral once.  A matched
 profile's cross term and power are its dipole norm.  The re-collimated
 overlap eta_prime is the incident overlap on the kept interval, and the
 annulus power behind p is the kept power plus the rings outside the kept
-interval (see ``recollimation_parameters``).  ``mirror_coupling`` returns
-all five numbers of a mirror from one such decomposition: for a custom
-profile the ring pieces also give the rest of eta's cross term, so no
-piece of the pupil is integrated twice, while a preset's eta keeps its
-closed forms on the whole annulus.  Nothing is cached between calls.
+interval (see ``recollimation_parameters``).  ``mirror_coupling``
+returns all five numbers of a mirror by making those separate calls, so
+it evaluates what they evaluate: the kept interval once for each of
+them.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from scipy.integrate._quadpack import _qagse
 
@@ -287,19 +286,14 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[float, fl
     return value, (error if ier else 0.0)
 
 
-def _pieces(fn: Callable[[float], float], cuts: Sequence[float]) -> Tuple[float, float]:
-    """(fn integrated over [cuts[0], cuts[-1]], the error estimates QAGS
-    flagged), one adaptive rule per piece between neighbouring cuts."""
+def _integral(fn: Callable[[float], float], cuts: Sequence[float]) -> float:
+    """fn integrated over [cuts[0], cuts[-1]], one adaptive rule per piece
+    between neighbouring cuts, judged as a whole."""
     total = missed = 0.0
     for a, b in zip(cuts, cuts[1:]):
         value, error = _quad(fn, a, b)
         total += value
         missed += error
-    return total, missed
-
-
-def _judged(total: float, missed: float) -> float:
-    """The sum of an integral's pieces, judged as a whole."""
     # checked once per integral, not per integrand call: a NaN or infinite
     # amplitude anywhere leaves a non-finite integral
     if not math.isfinite(total):
@@ -313,22 +307,14 @@ def _judged(total: float, missed: float) -> float:
     return total
 
 
-def _integral(fn: Callable[[float], float], cuts: Sequence[float]) -> float:
-    return _judged(*_pieces(fn, cuts))
-
-
 # Cuts a decade apart, counted down from the outer end to u = 1e-6, keep the
 # adaptive rule from missing the peak when the annulus spans many decades.
-def _pupil_cuts(lo: float, hi: float) -> List[float]:
+def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
     cuts = [hi]
     while cuts[0] / 10.0 > max(lo, 1e-6):
         cuts.insert(0, cuts[0] / 10.0)
     cuts.insert(0, lo)
-    return cuts
-
-
-def _pupil_quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    return _integral(fn, _pupil_cuts(lo, hi))
+    return _integral(fn, cuts)
 
 
 def _horner(coeffs: Tuple[float, ...], x: float) -> float:
@@ -626,17 +612,14 @@ def _pupil_cross(profile: BeamProfile, f: float, lo: float, hi: float) -> float:
         return _split_at_one(_flat_cross_form, _flat_cross_partner_form, lo, hi)
     if profile.kind == "doughnut":
         return _doughnut_cross(_doughnut_b(profile, f), lo, hi)
-    return _pupil_quad(_cross_node(profile.func, f), lo, hi)
+    beam = profile.func
 
-
-def _cross_node(beam: Callable[[float], float], f: float) -> Callable[[float], float]:
-    # the custom cross-term integrand, beam A u at the pupil radius d = f (2u)
     def cross_node(u: float) -> float:
         # _pupil_dipole(u) inline, in its order of operations: the same bits
         # in one Python frame per node
         q = 1.0 + u * u
         return beam(f * (2.0 * u)) * (2.0 * u / q / q) * u
-    return cross_node
+    return _pupil_quad(cross_node, lo, hi)
 
 
 # Cone antiderivatives: integrals of sin^k from the axis to t in [0, pi].
@@ -790,7 +773,29 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     Raises DegenerateResultError when no rays survive (p would be 0), and
     DomainError when ``profile`` is not a BeamProfile.
     """
-    return _recollimation(mirror, profile, False)[0]
+    _check_profile(profile)
+    f = mirror.focal_length
+    u_h, u_r = 0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f
+    lo, hi = _kept_interval(u_h, u_r)
+    if not lo < hi:
+        raise DegenerateResultError(
+            "no rays survive re-collimation for this mirror (p = 0)")
+
+    cross, power_kept, dip2 = _pupil_integrals(profile, f, lo, hi)
+    # an empty ring (lo == u_h or hi == u_r) costs nothing
+    power_in = power_kept
+    if u_h < lo:
+        power_in += _pupil_power(profile, f, u_h, lo)
+    if hi < u_r:
+        power_in += _pupil_power(profile, f, hi, u_r)
+    if not 0.0 < power_in < math.inf:
+        raise DegenerateResultError(
+            "the beam power on the illuminated annulus is zero or leaves the "
+            "floating-point range")
+    p = min(power_kept / power_in, 1.0)
+
+    eta_prime = _overlap_from_integrals(cross, power_kept, dip2)
+    return Recollimation(omega_n_prime=_dipole_weight(dip2), eta_prime=eta_prime, p=p)
 
 
 def mirror_coupling(mirror: ParabolicMirror, profile: BeamProfile) -> AsymmetricCoupling:
@@ -799,64 +804,13 @@ def mirror_coupling(mirror: ParabolicMirror, profile: BeamProfile) -> Asymmetric
 
     omega_n is ``mirror_weighted_solid_angle(mirror)``, eta
     ``overlap_eta(profile, mirror)`` and the last three
-    ``recollimation_parameters(mirror, profile)``, with the pupil annulus
-    cut at the kept interval and each piece integrated once.  Every field
-    is bit-identical to the separate call's, but for a custom profile's
-    eta: its cross term on the whole annulus is the sum of its pieces on
-    the kept interval and on the rings outside it, judged as one integral,
-    and its beam power is p's annulus power, so it agrees with
-    ``overlap_eta`` to within a few 1e-15 relative, the noise of the
-    quadrature itself.  It refuses what
-    ``recollimation_parameters`` and ``overlap_eta`` refuse, in that order,
-    and a value ``AsymmetricCoupling`` refuses.
+    ``recollimation_parameters(mirror, profile)``, bit for bit.  It refuses
+    what ``recollimation_parameters`` and ``overlap_eta`` refuse, in that
+    order, and a value ``AsymmetricCoupling`` refuses.
     """
-    recol, (cross, power, dip2) = _recollimation(mirror, profile, True)
-    return AsymmetricCoupling(_dipole_weight(dip2), _overlap_from_integrals(cross, power, dip2),
-                              *recol)
-
-
-def _recollimation(
-    mirror: ParabolicMirror, profile: BeamProfile, whole: bool
-) -> Tuple[Recollimation, Optional[Tuple[float, float, float]]]:
-    """The kept interval and the rings outside it: the re-collimation triple
-    and, if ``whole``, the overlap integrals of the whole annulus."""
-    _check_profile(profile)
-    f = mirror.focal_length
-    u_h, u_r = 0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f
-    lo, hi = _kept_interval(u_h, u_r)
-    if not lo < hi:
-        raise DegenerateResultError(
-            "no rays survive re-collimation for this mirror (p = 0)")
-    rings = ((u_h, lo), (hi, u_r))
-    # only quadrature costs per piece: a custom cross term on the whole
-    # annulus is the sum of its kept and ring pieces, while a preset keeps
-    # its closed form on the whole annulus
-    shared = whole and profile.kind == "custom"
-    if shared:
-        node = _cross_node(profile.func, f)
-        parts = [_pieces(node, _pupil_cuts(a, b)) for a, b in ((lo, hi), *rings) if a < b]
-        cross, power_kept, dip2 = (_judged(*parts[0]), _pupil_power(profile, f, lo, hi),
-                                   _dipole_norm(lo, hi))
-    else:
-        cross, power_kept, dip2 = _pupil_integrals(profile, f, lo, hi)
-    power_in = power_kept
-    for a, b in rings:
-        if a < b:   # an empty ring (lo == u_h or hi == u_r) costs nothing
-            power_in += _pupil_power(profile, f, a, b)
-    if not 0.0 < power_in < math.inf:
-        raise DegenerateResultError(
-            "the beam power on the illuminated annulus is zero or leaves the "
-            "floating-point range")
-    p = min(power_kept / power_in, 1.0)
-
-    eta_prime = _overlap_from_integrals(cross, power_kept, dip2)
-    recol = Recollimation(omega_n_prime=_dipole_weight(dip2), eta_prime=eta_prime, p=p)
-    if not whole:
-        return recol, None
-    if shared:
-        # judged as one integral, as overlap_eta judges its own pieces
-        return recol, (_judged(*map(sum, zip(*parts))), power_in, _dipole_norm(u_h, u_r))
-    return recol, _pupil_integrals(profile, f, u_h, u_r)
+    recol = recollimation_parameters(mirror, profile)
+    return AsymmetricCoupling(mirror_weighted_solid_angle(mirror),
+                              overlap_eta(profile, mirror), *recol)
 
 
 class WaistOptimum(NamedTuple):
