@@ -75,6 +75,19 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
+def _float(text: str) -> float:
+    """A number flag's value as written: what float() reads, in ASCII, with
+    no '_' digit separator and no surrounding whitespace.  nan and inf pass,
+    and are refused as domain errors where they are used."""
+    try:
+        if text.isascii() and "_" not in text and text == text.strip():
+            return float(text)
+    except ValueError:
+        pass
+    # argparse's own words for a value that float() refuses
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="atomphase",
@@ -86,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a single parameter point")
     p_eval.add_argument("--model", required=True, choices=MODELS)
     for key, flag in _FLAGS.items():
-        p_eval.add_argument(flag, type=float, required=key in _REQUIRED)
-    p_eval.add_argument("--delta", type=float, required=True)
-    p_eval.add_argument("--s0", type=float, required=True)
+        p_eval.add_argument(flag, type=_float, required=key in _REQUIRED)
+    p_eval.add_argument("--delta", type=_float, required=True)
+    p_eval.add_argument("--s0", type=_float, required=True)
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.set_defaults(handler=_cmd_eval)
 
@@ -106,16 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     geom_sub = p_geom.add_subparsers(dest="geometry_command", required=True)
 
     p_cone = geom_sub.add_parser("cone", help="lens cone solid-angle fraction")
-    p_cone.add_argument("--alpha", type=float, required=True,
+    p_cone.add_argument("--alpha", type=_float, required=True,
                         help="half-angle in radians")
     p_cone.add_argument("--orientation", required=True,
                         choices=("axial", "transverse"))
     p_cone.set_defaults(handler=_cmd_geometry_cone)
 
     p_mirror = geom_sub.add_parser("mirror", help="parabolic mirror coupling")
-    p_mirror.add_argument("--f", type=float, required=True, dest="focal_length")
-    p_mirror.add_argument("--R", type=float, required=True, dest="aperture_radius")
-    p_mirror.add_argument("--hole", type=float, required=True, dest="hole_radius")
+    p_mirror.add_argument("--f", type=_float, required=True, dest="focal_length")
+    p_mirror.add_argument("--R", type=_float, required=True, dest="aperture_radius")
+    p_mirror.add_argument("--hole", type=_float, required=True, dest="hole_radius")
     p_mirror.add_argument("--profile", default=None,
                           metavar="flattop|doughnut:<w>|matched")
     p_mirror.set_defaults(handler=_cmd_geometry_mirror)
@@ -272,8 +285,8 @@ def _parse_profile(text: str) -> BeamProfile:
         return BeamProfile.dipole_matched()
     if text.startswith("doughnut:"):
         try:
-            waist = float(text.split(":", 1)[1])
-        except ValueError as exc:
+            waist = _float(text.split(":", 1)[1])
+        except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"bad doughnut waist in {text!r}") from exc
         return BeamProfile.doughnut(waist)
     raise ConfigError(

@@ -130,6 +130,14 @@ class ParabolicMirror:
                 f"R = {self.aperture_radius!r}, f = {self.focal_length!r}")
 
 
+def _pupil(mirror: ParabolicMirror) -> Tuple[float, float, float]:
+    """(f, u_h, u_R): the focal length and the annulus in u = d / 2f."""
+    if not isinstance(mirror, ParabolicMirror):
+        raise DomainError(f"mirror must be a ParabolicMirror, got {mirror!r}")
+    f = mirror.focal_length
+    return f, 0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f
+
+
 def cone_weighted_solid_angle(cone: ConeAperture) -> float:
     """Dipole-weighted solid-angle fraction covered by a focusing cone.
 
@@ -142,6 +150,8 @@ def cone_weighted_solid_angle(cone: ConeAperture) -> float:
 
     Both reach 1/2 at a hemisphere and 1 on the full sphere.
     """
+    if not isinstance(cone, ConeAperture):
+        raise DomainError(f"cone must be a ConeAperture, got {cone!r}")
     axial = 0.75 * _sin3_head(cone.half_angle)
     if cone.orientation is DipoleOrientation.AXIAL:
         return axial
@@ -165,7 +175,7 @@ def parabola_ray_map(d: float, mirror: ParabolicMirror) -> RayMapping:
     outer pupil.
     """
     _check_real("pupil radius", d, positive=True)
-    f = mirror.focal_length
+    f = _pupil(mirror)[0]
     # d' = 4 f^2 / d, ordered so that f^2 is never formed and nothing is
     # divided by a u = d / 2f that underflowed to 0
     d_prime = 4.0 * (f / d) * f
@@ -184,9 +194,8 @@ def mirror_weighted_solid_angle(mirror: ParabolicMirror) -> float:
     sin^3(theta) dtheta is 3 int A^2 u du: three times the overlaps' pupil
     dipole norm on [u_h, u_R].
     """
-    f = mirror.focal_length
-    return _dipole_weight(_dipole_norm(0.5 * mirror.hole_radius / f,
-                                       0.5 * mirror.aperture_radius / f))
+    _, u_h, u_r = _pupil(mirror)
+    return _dipole_weight(_dipole_norm(u_h, u_r))
 
 
 def _dipole_weight(dip2: float) -> float:
@@ -211,7 +220,7 @@ def pupil_dipole_profile(d: float, mirror: ParabolicMirror) -> float:
     Vanishes toward both the vertex and the rim.
     """
     _check_real("pupil radius", d, positive=True)
-    u = 0.5 * d / mirror.focal_length
+    u = 0.5 * d / _pupil(mirror)[0]
     # once u^2 overflows, the amplitude (about 2 / u^3) underflows to 0
     return _pupil_dipole(u) if u * u < math.inf else 0.0
 
@@ -225,7 +234,10 @@ class BeamProfile:
     (proportional to the dipole pattern in whatever coordinates it is
     evaluated).  ``custom`` wraps any square-integrable radial amplitude,
     evaluated on the native coordinate of the aperture: pupil radius for
-    mirrors, polar angle for cones.
+    mirrors, polar angle for cones.  It returns a real number; an
+    ``Exception`` it raises, or the ``TypeError`` of a value that is not
+    real, becomes a ``DomainError`` chained to it.  An amplitude with a
+    negative overlap is refused: its negation is the same beam.
 
     A custom profile is integrated by adaptive quadrature (QUADPACK's QAGS)
     to a relative tolerance of 1e-12.  On a mirror pupil the interval
@@ -277,12 +289,18 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[float, fl
     # (value, error estimate) where QAGS flags the piece (ier > 0), (value,
     # 0.0) where it reached the tolerance.  The integrands square by
     # multiplication, so an overflowing square is an inf, refused by
-    # _integral; an amplitude may still raise OverflowError itself
+    # _integral; an amplitude may still raise OverflowError itself.  An
+    # exception raised while the amplitude is evaluated becomes a
+    # DomainError chained to it; a TypeError is a value that is not real
     try:
         value, error, ier = _qagse(fn, lo, hi, (), 0, _EPSABS, _EPSREL, _LIMIT)
     except OverflowError as exc:
         raise DomainError(
             f"custom profile leaves the floating-point range: {exc}") from exc
+    except TypeError as exc:
+        raise DomainError(f"custom profile must return a real number: {exc}") from exc
+    except Exception as exc:
+        raise DomainError(f"custom profile raised {type(exc).__name__}: {exc}") from exc
     return value, (error if ier else 0.0)
 
 
@@ -665,6 +683,14 @@ def _overlap_from_integrals(cross: float, beam2: float, dip2: float) -> float:
     if beam2 < _TINY or dip2 < _TINY:
         raise DegenerateResultError(
             "zero-norm profile on the aperture; the overlap is undefined")
+    if beam2 == math.inf:
+        raise DegenerateResultError(
+            "the beam power on the aperture leaves the floating-point range")
+    # only a custom amplitude can be negative: -beam is the same beam
+    if cross < 0.0:
+        raise DomainError(
+            "custom profile has a negative overlap with the dipole field; "
+            "flip the sign of its amplitude")
     # sqrt(beam2 * dip2) with each factor first scaled by a power of four
     # into [0.5, 2), so the product can neither overflow nor underflow at
     # large or small pupil scales.  Power-of-two scaling is exact, so the
@@ -694,9 +720,7 @@ def overlap_eta(profile: BeamProfile,
     """
     _check_profile(profile)
     if isinstance(geometry, ParabolicMirror):
-        f = geometry.focal_length
-        lo, hi = 0.5 * geometry.hole_radius / f, 0.5 * geometry.aperture_radius / f
-        return _overlap_from_integrals(*_pupil_integrals(profile, f, lo, hi))
+        return _overlap_from_integrals(*_pupil_integrals(profile, *_pupil(geometry)))
 
     if isinstance(geometry, ConeAperture):
         if geometry.orientation is not DipoleOrientation.AXIAL:
@@ -771,11 +795,11 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     and omega_n_prime alike.
 
     Raises DegenerateResultError when no rays survive (p would be 0), and
-    DomainError when ``profile`` is not a BeamProfile.
+    DomainError when ``mirror`` is not a ParabolicMirror or ``profile`` not
+    a BeamProfile.
     """
     _check_profile(profile)
-    f = mirror.focal_length
-    u_h, u_r = 0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f
+    f, u_h, u_r = _pupil(mirror)
     lo, hi = _kept_interval(u_h, u_r)
     if not lo < hi:
         raise DegenerateResultError(
@@ -896,7 +920,7 @@ def optimize_waist(
     """
     if family is None:
         family = BeamProfile.doughnut
-    f = mirror.focal_length
+    f = _pupil(mirror)[0]
     lo, hi = bracket if bracket is not None else (0.1 * f, 20.0 * f)
     _check_real("bracket start", lo)
     _check_real("bracket end", hi)

@@ -13,7 +13,9 @@ sweep that fails writes nothing; the second computes each chunk's
 columns, renders them as CSV or JSON and drops them, so memory does not
 grow with the grid beyond the grid itself (8 bytes a point).
 ``run_sweep``, ``rows_to_csv`` and ``rows_to_json`` build the whole
-result in memory instead.  The columns are bit-identical to
+result in memory instead.  ``evaluate_point`` hands its one point to the
+second pass as plain numbers: ``atom.detuned_drive`` has checked it
+already, so it takes no first pass.  The columns are bit-identical to
 evaluating the scalar functions of :mod:`atomphase.phase` point by point
 by construction: the kernel computes every column through the private
 helpers of :mod:`atomphase.atom` and :mod:`atomphase.phase` that those
@@ -238,29 +240,6 @@ def _each(values, m: int) -> Iterable:
     return values.tolist() if np.ndim(values) else repeat(values, m)
 
 
-def _rows(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple[str, object],
-          omega_n, eta) -> Iterator[list]:
-    """The rows at these points as column chunks in CSV_COLUMNS order.
-
-    ``swept`` holds one value per row.  delta, the drive values (``drive``
-    is ("s0", values) or ("s", values)), omega_n and eta are each either
-    an array with one value per row or one number for every row.  Every
-    point is validated before this returns (pass 1); the columns are then
-    computed chunk by chunk as the iterator is consumed (pass 2), so only
-    the inputs span the whole grid.
-
-    A chunk's column is a list with one value per row, or a single value
-    when every row shares it: delta, s0, s and coherent_fraction when
-    their inputs are single numbers, and model.  Where delta or s0 is the
-    swept array itself, that column is the very list of swept_value.
-    """
-    n = len(swept)
-    _validate(delta, drive, n)
-    if model == "asymmetric":
-        _check_transmission(coupling.p)
-    return _chunks(model, coupling, swept, delta, drive, omega_n, eta, n)
-
-
 def _part(values, lo: int):
     """Rows [lo, lo + _CHUNK_ROWS) of a per-row input; a single number as is."""
     return values[lo:lo + _CHUNK_ROWS] if isinstance(values, (np.ndarray, list)) else values
@@ -301,13 +280,23 @@ def _item(values, i: int) -> float:
 
 
 def _chunks(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple[str, object],
-            omega_n, eta, n: int) -> Iterator[list]:
-    """Pass 2: each chunk's columns, by the helpers that the scalar
-    functions of :mod:`atomphase.atom` and :mod:`atomphase.phase` call.  A
-    single number gives the same bits as an array of it, because numpy and
-    Python floats both round every + - * / and sqrt by IEEE 754."""
+            omega_n, eta) -> Iterator[list]:
+    """Pass 2: the rows at these points as column chunks in CSV_COLUMNS
+    order, computed as the iterator is consumed; the caller has checked
+    every point.  ``swept`` holds one value per row.  delta, the drive
+    values (``drive`` is ("s0", values) or ("s", values)), omega_n and eta
+    are each an array with one value per row or one number for every row,
+    and a number gives the same bits as an array of it: numpy and Python
+    floats both round every + - * / and sqrt by IEEE 754, and each column
+    comes from the helpers that the scalar functions of
+    :mod:`atomphase.atom` and :mod:`atomphase.phase` call.
+
+    A chunk's column is a list with one value per row, or a single value
+    when every row shares it: delta, s0, s and coherent_fraction when
+    their inputs are single numbers, and model.  Where delta or s0 is the
+    swept array itself, that column is the very list of swept_value."""
     name, values = drive
-    for lo in range(0, n, _CHUNK_ROWS):
+    for lo in range(0, len(swept), _CHUNK_ROWS):
         w = _part(swept, lo)
         # an input that is the swept array itself gets the very same slice
         d, v, on, et = (w if x is swept else _part(x, lo) for x in (delta, values, omega_n, eta))
@@ -351,7 +340,8 @@ def _chunks(model: str, coupling: Coupling, swept: Sequence, delta, drive: Tuple
 
 
 def _sweep_rows(spec: SweepSpec) -> Iterator[list]:
-    """The sweep's rows as column chunks (see _rows), in ascending swept order.
+    """The sweep's rows as column chunks (see _chunks), in ascending swept
+    order, after every point is checked (pass 1).
 
     Only the grid spans the whole sweep; a fixed delta or drive stays one
     number.
@@ -368,9 +358,12 @@ def _sweep_rows(spec: SweepSpec) -> Iterator[list]:
     else:
         name = "s0" if "s0" in fixed else "s"
         drive = (name, float(fixed[name]))
-    return _rows(spec.model, coupling, values, delta, drive,
-                 values if var == "omega_n" else coupling.omega_n,
-                 values if var == "eta" else coupling.eta)
+    _validate(delta, drive, len(values))
+    if spec.model == "asymmetric":
+        _check_transmission(coupling.p)
+    return _chunks(spec.model, coupling, values, delta, drive,
+                   values if var == "omega_n" else coupling.omega_n,
+                   values if var == "eta" else coupling.eta)
 
 
 def evaluate_point(
@@ -393,9 +386,11 @@ def evaluate_point(
     """
     _check_model_coupling(model, coupling)
     detuned_drive(delta, s0)
-    row = ResultRow(*next(_tuples(_rows(
-        model, coupling, [None], np.array([delta], dtype=float),
-        ("s0", np.array([s0], dtype=float)), coupling.omega_n, coupling.eta))))
+    if model == "asymmetric":
+        _check_transmission(coupling.p)
+    row = ResultRow(*next(_tuples(_chunks(
+        model, coupling, [None], float(delta), ("s0", float(s0)),
+        coupling.omega_n, coupling.eta))))
     if row.branch == PhaseBranch.BOUNDARY.value and not degenerate_ok:
         if model == "kerr":
             raise PoleError(KERR_POLE_MESSAGE)
@@ -436,7 +431,7 @@ def _json_value(value) -> str:
 
 
 def _row_chunks(rows: Iterable[ResultRow]) -> Iterator[list]:
-    """Column chunks (see _rows) of ResultRows; every column is a list."""
+    """Column chunks (see _chunks) of ResultRows; every column is a list."""
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         yield [list(column) for column in zip(*map(_row_values, chunk))]
@@ -501,7 +496,7 @@ def _json_placeholder(values: list, is_text: bool) -> Optional[str]:
 
 def _write_csv(write: Callable[[str], object], chunks: Iterable[list],
                comments: Sequence[str] = ()) -> None:
-    """Write CSV from column chunks (see _rows), one '#' line per comment."""
+    """Write CSV from column chunks (see _chunks), one '#' line per comment."""
     write("".join(f"# {comment}\n" for comment in comments) + ",".join(CSV_COLUMNS) + "\n")
     for columns in chunks:
         write("".join(_render(columns, _csv_placeholder, _format_value, _csv_line)))
@@ -509,7 +504,7 @@ def _write_csv(write: Callable[[str], object], chunks: Iterable[list],
 
 def _write_json(write: Callable[[str], object], chunks: Iterable[list]) -> None:
     """Write the bytes of json.dumps([row objects], indent=2) + '\\n' from
-    column chunks (see _rows).  A NaN or infinite value raises DomainError
+    column chunks (see _chunks).  A NaN or infinite value raises DomainError
     before its chunk is written."""
     opening = "[\n"
     for columns in chunks:

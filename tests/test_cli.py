@@ -35,7 +35,7 @@ from atomphase import (
     phase_asymmetric,
     phase_symmetric,
 )
-from atomphase.cli import _finish, build_parser, main
+from atomphase.cli import _finish, _float, build_parser, main
 from atomphase.sweep import (
     FIGURE_PRESETS,
     MAX_COUNT,
@@ -521,6 +521,41 @@ class TestGeometry:
         assert err.count("\n") == 1
 
 
+# spellings that float() reads but a number flag refuses: a digit separator,
+# a digit outside ASCII, whitespace around the number
+SPELLINGS = ("0_5", "1_000", "\u0661", "\u0660.\u0665", "\uff10.5",
+             " 0.5", "0.5 ", "\t1", "1\n")
+NUMBER_CALLS = {
+    "eval": ("eval", "--model", "asymmetric", "--omega-n", "1", "--eta", "1",
+             "--omega-n-prime", "1", "--eta-prime", "1", "--p", "1", "--delta", "0.5",
+             "--s0", "0.5"),
+    "cone": ("geometry", "cone", "--alpha", "1", "--orientation", "axial"),
+    "mirror": ("geometry", "mirror", "--f", "1", "--R", "4", "--hole", "0.5",
+               "--profile", "doughnut:1.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_CALLS))
+@pytest.mark.parametrize("text", SPELLINGS)
+def test_number_spelling_is_usage_error(capsys, name, text):
+    # each number of a call, and the doughnut waist, in turn; float() once
+    # read 0_5 as 5, a non-ASCII digit as its value and a padded number as
+    # itself, and the call exited 0
+    call = NUMBER_CALLS[name]
+    assert run_cli(capsys, *call)[0] == 0
+    numbers = [i for i, token in enumerate(call) if token[-1].isdigit() and token[0] != "-"]
+    for i in numbers:
+        head, colon, _ = call[i].rpartition(":")
+        argv = call[:i] + (head + colon + text,) + call[i + 1:]
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert repr(argv[i]) in err and err.count("error: ") == 1, err
+
+
 SWEEP_CONFIG = {"model": "symmetric", "coupling": {"omega_n": 1.0, "eta": 1.0},
                 "sweep": {"var": "delta", "start": -5, "stop": 0, "count": 11},
                 "fixed": {"s0": 0.0}}
@@ -923,10 +958,11 @@ OPTIONS = [action for _, parser in LEAVES for action in parser._actions
 PATHS = {"--config": ["config.json"] * 3 + ["missing.json", ".", "config.json/sub"],
          "--out": ["out"] * 3 + [".", "out/sub", "config.json", "config.json/sub"]}
 PROFILES = ("flattop", "matched", "doughnut:1.3", "doughnut:0", "doughnut:-1",
-            "doughnut:nan", "doughnut:1e-300", "doughnut:1e300", "doughnut:", "bessel")
+            "doughnut:nan", "doughnut:1e-300", "doughnut:1e300", "doughnut:", "bessel",
+            *("doughnut:" + text for text in SPELLINGS))
 NUMBERS = st.one_of(
     st.sampled_from(["0", "1", "-1", "0.5", "-0.5", "2", "4", "5e-324", "1e-300",
-                     "1e300", "-1e308", "1e400", "nan", "inf", "-inf", "-0"]),
+                     "1e300", "-1e308", "1e400", "nan", "inf", "-inf", "-0", *SPELLINGS]),
     st.floats(0, 1).map(repr), st.floats(0, 10).map(repr), st.floats().map(repr),
     st.integers().map(str))
 
@@ -945,7 +981,7 @@ def values(action):
         return st.sampled_from(PATHS[action.option_strings[0]]).map(InTmp)
     if action.choices:
         return st.sampled_from(list(action.choices))
-    return NUMBERS if action.type is float else st.sampled_from(PROFILES)
+    return NUMBERS if action.type is _float else st.sampled_from(PROFILES)
 
 
 @st.composite

@@ -1538,6 +1538,33 @@ def _custom_gaussian(call):
     return design
 
 
+HOLED = ParabolicMirror(1.0, 4.0, 0.5)
+
+
+def _raises(exc):
+    def amplitude(d):
+        raise exc
+    return amplitude
+
+
+# custom amplitudes that return no real number, raise, or are negative
+# somewhere: Gaussians a exp(-(d/w)^2) + c of either sign, or changing sign
+amplitudes = st.one_of(
+    st.sampled_from([lambda d: 1j, lambda d: None, lambda d: "1", lambda d: np.array([1.0, 2.0]),
+                     lambda d: np.float64(0.5), lambda d: -1.0, _raises(ValueError("bad")),
+                     _raises(TypeError("bad")), _raises(RecursionError()),
+                     _raises(ZeroDivisionError()), _raises(OverflowError())]),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 10.0), st.floats(-1.0, 1.0)).map(
+        lambda t: lambda d: t[0] * math.exp(-(d / t[1]) ** 2) + t[2]))
+# each design call that integrates a custom amplitude, on the holed mirror
+# or an axial cone of half-angle 1
+CUSTOM_CALLS = [
+    lambda beam: overlap_eta(beam, HOLED),
+    lambda beam: overlap_eta(beam, ConeAperture(1.0, AXIAL)),
+    lambda beam: recollimation_parameters(HOLED, beam),
+    lambda beam: astuple(mirror_coupling(HOLED, beam)),
+]
+
 # the design calls, whose values also lie in [0, 1]
 DESIGNS = {
     "cone_weighted_solid_angle": (
@@ -1567,6 +1594,9 @@ DESIGNS = {
     "mirror_coupling-custom": (
         _custom_gaussian(lambda mirror, beam: astuple(mirror_coupling(mirror, beam))),
         custom_gaussians),
+    "custom-callables": (
+        lambda call, amplitude: call(BeamProfile.custom(amplitude)),
+        (st.sampled_from(CUSTOM_CALLS), amplitudes)),
 }
 
 TOTAL = {
@@ -1598,21 +1628,63 @@ def test_finite_or_refused(name, data):
         assert all(0.0 <= v <= 1.0 for v in values), (args, value)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: ConeAperture(1.0, "axial"), "orientation must be a DipoleOrientation"),
-    (lambda: BeamProfile(kind="custom"), "requires a callable"),
-    (lambda: overlap_eta(FLAT, "mirror"), "geometry must be"),
-    (lambda: overlap_eta("flattop", ParabolicMirror(1.0, 4.0, 0.5)),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ConeAperture(1.0, "axial"), DomainError, "orientation must be a DipoleOrientation"),
+    (lambda: BeamProfile(kind="custom"), DomainError, "requires a callable"),
+    (lambda: overlap_eta(FLAT, "mirror"), DomainError, "geometry must be"),
+    (lambda: overlap_eta("flattop", HOLED), DomainError,
      "profile must be a BeamProfile, got 'flattop'"),
-    (lambda: recollimation_parameters(ParabolicMirror(1.0, 4.0, 0.5), None),
+    (lambda: recollimation_parameters(HOLED, None), DomainError,
      "profile must be a BeamProfile, got None"),
-    (lambda: mirror_coupling(ParabolicMirror(1.0, 4.0, 0.5), "matched"),
+    (lambda: mirror_coupling(HOLED, "matched"), DomainError,
      "profile must be a BeamProfile, got 'matched'"),
-    (lambda: optimize_waist(ParabolicMirror(1.0, 4.0, 0.5), family=lambda w: 3),
+    (lambda: optimize_waist(HOLED, family=lambda w: 3), DomainError,
      "profile must be a BeamProfile, got 3"),
+    (lambda: recollimation_parameters("m", FLAT), DomainError,
+     "mirror must be a ParabolicMirror, got 'm'"),
+    (lambda: mirror_weighted_solid_angle(None), DomainError,
+     "mirror must be a ParabolicMirror, got None"),
+    (lambda: mirror_coupling(3, FLAT), DomainError, "mirror must be a ParabolicMirror, got 3"),
+    (lambda: optimize_waist("m"), DomainError, "mirror must be a ParabolicMirror, got 'm'"),
+    (lambda: parabola_ray_map(1.0, None), DomainError,
+     "mirror must be a ParabolicMirror, got None"),
+    (lambda: pupil_dipole_profile(1.0, None), DomainError,
+     "mirror must be a ParabolicMirror, got None"),
+    (lambda: cone_weighted_solid_angle("c"), DomainError, "cone must be a ConeAperture, got 'c'"),
+    # the flat top's whole-annulus power overflows to inf; it once gave eta = 0
+    (lambda: overlap_eta(FLAT, ParabolicMirror(1.0, 1e160)), DegenerateResultError,
+     "^the beam power on the aperture leaves the floating-point range$"),
 ], ids=["string-orientation", "custom-without-callable", "not-a-geometry",
         "overlap_eta-profile", "recollimation_parameters-profile", "mirror_coupling-profile",
-        "optimize_waist-family"])
-def test_refusals(call, message):
-    with pytest.raises(DomainError, match=message):
+        "optimize_waist-family", "recollimation_parameters-mirror",
+        "mirror_weighted_solid_angle-mirror", "mirror_coupling-mirror", "optimize_waist-mirror",
+        "parabola_ray_map-mirror", "pupil_dipole_profile-mirror", "cone_weighted_solid_angle-cone",
+        "overlap_eta-infinite-power"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("amplitude, message, cause", [
+    (lambda d: 1j, "^custom profile must return a real number", TypeError),
+    (lambda d: None, "^custom profile must return a real number", TypeError),
+    (_raises(ValueError("bad")), "^custom profile raised ValueError: bad$", ValueError),
+    (_raises(RecursionError("deep")), "^custom profile raised RecursionError: deep$",
+     RecursionError),
+    (_raises(OverflowError("big")), "^custom profile leaves the floating-point range: big$",
+     OverflowError),
+    (lambda d: -1.0, "flip the sign of its amplitude$", type(None)),
+], ids=["complex", "none", "value-error", "recursion-error", "overflow-error", "negative"])
+def test_custom_amplitude_refusals(amplitude, message, cause):
+    # once a TypeError or the amplitude's own exception, or a negative eta
+    # (-0.9147 on the mirror, -0.9507 on the cone, eta' -0.9146)
+    for call in CUSTOM_CALLS:
+        with pytest.raises(DomainError, match=message) as refusal:
+            call(BeamProfile.custom(amplitude))
+        assert type(refusal.value.__cause__) is cause
+
+
+def test_custom_amplitude_interrupt_passes():
+    for call in CUSTOM_CALLS:
+        with pytest.raises(KeyboardInterrupt):
+            call(BeamProfile.custom(_raises(KeyboardInterrupt())))

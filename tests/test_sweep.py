@@ -571,8 +571,7 @@ class TestDriveRuleOrder:
             run_sweep(spec)
         # and a non-finite delta before an overflowing 1 + 4 delta^2
         with pytest.raises(DomainError, match=r"^delta must be finite, got nan$"):
-            sweep._rows("symmetric", FULL, [None, None], np.array([1e200, math.nan]),
-                        ("s0", np.array([0.1, 0.1])), FULL.omega_n, FULL.eta)
+            sweep._validate(np.array([1e200, math.nan]), ("s0", np.array([0.1, 0.1])), 2)
 
 
 # ------------------------------------------------------- streamed writers
