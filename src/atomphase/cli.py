@@ -8,7 +8,10 @@ Exit codes: 0 success, 1 domain or degenerate error, 2 usage or config
 parse error, an I/O failure on the config or an output file, or any failed
 write or flush of stdout or stderr (one ``error:`` line at most, none for
 a closed pipe).  Negative option values are safest in the
-``--opt=value`` form, e.g. ``--delta=-0.5``.
+``--opt=value`` form, e.g. ``--delta=-0.5``; a flag must be written in
+full.  ``_keys`` owns every refusal of a missing or an unexpected key:
+eval's coupling flags and a sweep config's top level, ``coupling``,
+``sweep`` and ``fixed`` sections, each checked before any value is read.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from dataclasses import fields
 from typing import List, Optional
@@ -31,7 +35,7 @@ from .sweep import (
     MODELS,
     SweepRange,
     SweepSpec,
-    _check_fixed_names,
+    _FIXED_PARAMETERS,
     _check_model,
     evaluate_point,
     figure_preset,
@@ -61,12 +65,16 @@ class ConfigError(Exception):
 _FLAGS = {field.name: "--" + field.name.replace("_", "-")
           for field in fields(AsymmetricCoupling)}
 _REQUIRED = {field.name for field in fields(SymmetricCoupling)}
-_PRIME_FLAGS = [flag for key, flag in _FLAGS.items() if key not in _REQUIRED]
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose failed writes raise, as every other output's
-    do; subparsers are of the same class (argparse's ``parser_class``)."""
+    do, and that takes no prefix of a flag for the flag; subparsers are of
+    the same class (argparse's ``parser_class``)."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        # add_parser passes no allow_abbrev down, so the default is this one
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def _print_message(self, message, file=None):
         # argparse's own swallows an OSError: unbuffered, ``--help`` into a
@@ -136,21 +144,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_coupling(args):
-    coupling_type = _check_model(args.model)
-    given = {key: getattr(args, key) for key in _FLAGS}
-    keys = [field.name for field in fields(coupling_type)]
-    if any(given[key] is None for key in keys):
-        raise ConfigError(f"model {args.model!r} requires "
-                          f"{', '.join(_PRIME_FLAGS[:-1])} and {_PRIME_FLAGS[-1]}")
-    if any(given[key] is not None for key in given.keys() - keys):
-        raise ConfigError(f"{'/'.join(_PRIME_FLAGS)} only apply to the asymmetric model")
-    return coupling_type(**{key: given[key] for key in keys})
+def _keys(what: str, given, required, optional=(), spell=repr) -> dict:
+    """``given`` if it is an object with every required key and no other than
+    the optional ones; else one ConfigError naming each missing and unexpected key."""
+    if not isinstance(given, dict):
+        # reprlib: a long or deep value is shown by its head, on one short line
+        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(given)}")
+    missing = [key for key in required if key not in given]
+    unexpected = [key for key in given if key not in required and key not in optional]
+    if missing or unexpected:
+        takes = ", ".join(map(spell, required))
+        if optional:
+            extra = "optional " + ", ".join(map(spell, optional))
+            takes = f"{takes} ({extra})" if takes else extra
+        wrong = [f"{label} {', '.join(map(spell, keys))}" for label, keys
+                 in (("missing", missing), ("unexpected", unexpected)) if keys]
+        raise ConfigError(f"{what} takes {takes}; {'; '.join(wrong)}")
+    return given
 
 
 def _cmd_eval(args) -> int:
-    coupling = _build_coupling(args)
-    row = evaluate_point(args.model, coupling, args.delta, args.s0,
+    coupling_type = _check_model(args.model)
+    given = {key: value for key in _FLAGS if (value := getattr(args, key)) is not None}
+    _keys(f"model {args.model!r}", given, [field.name for field in fields(coupling_type)],
+          spell=_FLAGS.get)
+    row = evaluate_point(args.model, coupling_type(**given), args.delta, args.s0,
                          degenerate_ok=False)
     if args.format == "json":
         _print_json(row_to_dict(row))
@@ -168,49 +186,25 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _spec_from_config(config: dict) -> SweepSpec:
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(config) - {"model", "coupling", "sweep", "fixed"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("model", "coupling", "sweep"):
-        # the two sections must be objects, not anything dict() accepts
-        if key not in config or key != "model" and not isinstance(config[key], dict):
-            raise ConfigError(f"missing or malformed config section: {key!r}")
-    model, coupling_cfg = config["model"], config["coupling"]
-    sweep_cfg = dict(config["sweep"])   # a copy: its keys are popped below
-    fixed = config.get("fixed", {})
-    if not isinstance(fixed, dict):
-        raise ConfigError("'fixed' must be an object of parameter values")
-
+def _spec_from_config(config) -> SweepSpec:
     try:
-        # the model picks the coupling's keys, so it is checked first
+        # every section's keys before any value; the model picks the
+        # coupling's keys, so it is read first
+        _keys("config", config, ("model", "coupling", "sweep"), ("fixed",))
+        model = config["model"]
         coupling_type = _check_model(model)
-        keys = [field.name for field in fields(coupling_type)]
-        missing = [k for k in keys if k not in coupling_cfg]
-        unexpected = sorted(set(coupling_cfg) - set(keys), key=repr)
-        if missing or unexpected:
-            raise ConfigError(f"model {model!r} takes coupling keys {keys}; "
-                              f"missing {missing}, unexpected {unexpected}")
+        coupling_cfg = _keys(f"coupling of model {model!r}", config["coupling"],
+                             [field.name for field in fields(coupling_type)])
+        sweep_cfg = _keys("sweep", config["sweep"], ("var", "start", "stop", "count"),
+                          ("spacing",))
+        fixed = _keys("fixed", config.get("fixed", {}), (), _FIXED_PARAMETERS)
         coupling = coupling_type(**{k: _number(k, v) for k, v in coupling_cfg.items()})
-        rng = SweepRange(
-            start=_number("start", sweep_cfg.pop("start")),
-            stop=_number("stop", sweep_cfg.pop("stop")),
-            count=sweep_cfg.pop("count"),   # SweepRange refuses a non-integer
-            spacing=_string("spacing", sweep_cfg.pop("spacing", "linear")),
-        )
-        var = _string("var", sweep_cfg.pop("var"))
-        if sweep_cfg:
-            raise ConfigError(f"unknown sweep keys: {sorted(sweep_cfg)}")
-        # an unknown fixed key is named as such, whatever its value
-        _check_fixed_names(fixed)
-        return SweepSpec(model=model, coupling=coupling, var=var, range=rng,
-                         fixed={k: _number(k, v) for k, v in fixed.items()})
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"missing sweep key: {exc}") from exc
+        start, stop = (_number(key, sweep_cfg[key]) for key in ("start", "stop"))
+        # SweepRange refuses a count that is not an integer
+        rng = SweepRange(start, stop, sweep_cfg["count"],
+                         _string("spacing", sweep_cfg.get("spacing", "linear")))
+        return SweepSpec(model, coupling, _string("var", sweep_cfg["var"]), rng,
+                         {k: _number(k, v) for k, v in fixed.items()})
     except (AtomPhaseError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -244,7 +238,12 @@ def _object(pairs) -> dict:
 
 def _cmd_sweep(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        # a ValueError here is a path the OS refuses, such as one with a NUL
+        fh = open(args.config, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    try:
+        with fh:
             config = json.load(fh, object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -259,7 +258,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figures(args) -> int:
     preset = figure_preset(args.name)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except ValueError as exc:   # a path the OS refuses, such as one with a NUL
+        raise ConfigError(f"cannot write to --out {args.out!r}: {exc}") from exc
     paths = [os.path.join(args.out, f"{preset.name}-{series.name}.csv")
              for series in preset.series]
     for series, path in zip(preset.series, paths):
