@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import NamedTuple, Tuple
 
 from . import _EXPORTS
-from .errors import DomainError, _check_real
+from .errors import DomainError, _check_real, _check_type
 
 __all__ = list(_EXPORTS["atom"])
 
@@ -163,10 +163,12 @@ def physical_to_normalized(
     eta : float
         Field overlap with the dipole pattern, in [0, 1].
 
-    Raises DomainError for a non-finite or negative power, and where the
-    field, the Rabi frequency or s0 overflows.
+    Raises DomainError for a non-finite or negative power, an atom that is
+    not an AtomTransition, and where the field, the Rabi frequency or s0
+    overflows.
     """
     _check_real("power", power, lo=0.0)
+    _check_type("atom", atom, AtomTransition)
     _check_real("solid_angle", solid_angle)
     if not 0.0 <= solid_angle <= FULL_DIPOLE_SOLID_ANGLE:
         raise DomainError(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one input rule."""
+"""Exception types shared across the package, and its two input rules:
+``_check_real`` for a number, ``_check_type`` for an argument that is to be
+a package object, a callable or a mapping."""
 
 import math
 from numbers import Real
@@ -59,3 +61,12 @@ def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
         raise DomainError(f"{name} must be finite, got {value!r}")
     elif not lo <= x <= hi:
         raise DomainError(f"{name} must be non-negative, got {value!r}")
+
+
+def _check_type(name: str, value, *types: type) -> None:
+    """Raise DomainError("<name> must be a <Type>, got <repr>") unless value
+    is one of types: "a <Type> or a <Type>" for two, "an" before a vowel."""
+    if not isinstance(value, types):
+        expected = " or ".join(f"{'an' if t.__name__[0] in 'AEIOU' else 'a'} {t.__name__}"
+                               for t in types)
+        raise DomainError(f"{name} must be {expected}, got {value!r}")

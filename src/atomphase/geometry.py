@@ -61,14 +61,15 @@ them.  Nothing is cached between calls.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from scipy.integrate._quadpack import _qagse
 
 from . import _EXPORTS
-from .errors import DegenerateResultError, DomainError, _check_real
+from .errors import DegenerateResultError, DomainError, _check_real, _check_type
 from .phase import AsymmetricCoupling
 
 __all__ = list(_EXPORTS["geometry"])
@@ -102,9 +103,7 @@ class ConeAperture:
         if not 0.0 < self.half_angle <= math.pi:
             raise DomainError(
                 f"half_angle must lie in (0, pi], got {self.half_angle!r}")
-        if not isinstance(self.orientation, DipoleOrientation):
-            raise DomainError(
-                f"orientation must be a DipoleOrientation, got {self.orientation!r}")
+        _check_type("orientation", self.orientation, DipoleOrientation)
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,9 @@ class ParabolicMirror:
 
 def _pupil(mirror: ParabolicMirror) -> Tuple[float, float, float]:
     """(f, u_h, u_R): the focal length and the annulus in u = d / 2f."""
+    # on every design call, so the helper is called only to refuse
     if not isinstance(mirror, ParabolicMirror):
-        raise DomainError(f"mirror must be a ParabolicMirror, got {mirror!r}")
+        _check_type("mirror", mirror, ParabolicMirror)
     f = mirror.focal_length
     return f, 0.5 * mirror.hole_radius / f, 0.5 * mirror.aperture_radius / f
 
@@ -150,8 +150,7 @@ def cone_weighted_solid_angle(cone: ConeAperture) -> float:
 
     Both reach 1/2 at a hemisphere and 1 on the full sphere.
     """
-    if not isinstance(cone, ConeAperture):
-        raise DomainError(f"cone must be a ConeAperture, got {cone!r}")
+    _check_type("cone", cone, ConeAperture)
     axial = 0.75 * _sin3_head(cone.half_angle)
     if cone.orientation is DipoleOrientation.AXIAL:
         return axial
@@ -263,8 +262,8 @@ class BeamProfile:
             raise DomainError(f"unknown beam profile kind {self.kind!r}")
         if self.kind == "doughnut":
             _check_real("doughnut waist", self.waist, positive=True)
-        if self.kind == "custom" and not callable(self.func):
-            raise DomainError("custom profile requires a callable amplitude")
+        if self.kind == "custom":
+            _check_type("custom profile func", self.func, Callable)
 
     @classmethod
     def flat_top(cls) -> "BeamProfile":
@@ -673,11 +672,6 @@ def _pupil_integrals(profile: BeamProfile, f: float, lo: float,
     return _pupil_cross(profile, f, lo, hi), _pupil_power(profile, f, lo, hi), dip2
 
 
-def _check_profile(profile: BeamProfile) -> None:
-    if not isinstance(profile, BeamProfile):
-        raise DomainError(f"profile must be a BeamProfile, got {profile!r}")
-
-
 def _overlap_from_integrals(cross: float, beam2: float, dip2: float) -> float:
     # a subnormal norm has lost its relative precision to underflow
     if beam2 < _TINY or dip2 < _TINY:
@@ -718,7 +712,8 @@ def overlap_eta(profile: BeamProfile,
     the result by 1, with equality only for profiles proportional to the
     dipole's.
     """
-    _check_profile(profile)
+    if not isinstance(profile, BeamProfile):
+        _check_type("profile", profile, BeamProfile)
     if isinstance(geometry, ParabolicMirror):
         return _overlap_from_integrals(*_pupil_integrals(profile, *_pupil(geometry)))
 
@@ -751,8 +746,7 @@ def overlap_eta(profile: BeamProfile,
             beam2 = _integral(power_node, (0.0, alpha))
         return _overlap_from_integrals(cross, beam2, dip2)
 
-    raise DomainError(
-        f"geometry must be a ParabolicMirror or ConeAperture, got {geometry!r}")
+    _check_type("geometry", geometry, ParabolicMirror, ConeAperture)
 
 
 def _kept_interval(u_h: float, u_r: float) -> Tuple[float, float]:
@@ -798,7 +792,8 @@ def recollimation_parameters(mirror: ParabolicMirror, profile: BeamProfile) -> R
     DomainError when ``mirror`` is not a ParabolicMirror or ``profile`` not
     a BeamProfile.
     """
-    _check_profile(profile)
+    if not isinstance(profile, BeamProfile):
+        _check_type("profile", profile, BeamProfile)
     f, u_h, u_r = _pupil(mirror)
     lo, hi = _kept_interval(u_h, u_r)
     if not lo < hi:
@@ -920,8 +915,12 @@ def optimize_waist(
     """
     if family is None:
         family = BeamProfile.doughnut
+    _check_type("family", family, Callable)
     f = _pupil(mirror)[0]
-    lo, hi = bracket if bracket is not None else (0.1 * f, 20.0 * f)
+    try:
+        lo, hi = bracket if bracket is not None else (0.1 * f, 20.0 * f)
+    except (TypeError, ValueError):
+        raise DomainError(f"bracket must hold two numbers (lo, hi), got {bracket!r}") from None
     _check_real("bracket start", lo)
     _check_real("bracket end", hi)
     if not 0.0 < lo < hi:

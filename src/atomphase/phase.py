@@ -19,9 +19,10 @@ function that owns it, and takes one number or a numpy chunk alike.  The
 sweep kernel computes its columns through the same helpers, so a sweep is
 bit-identical to these functions by construction.
 
-Every function here rejects with DomainError the drives that a sweep
-rejects: a non-finite delta, s0 or s, a negative s0, and a delta or s0 so
-large that 1 + 4 delta^2 or (1 + s)^2 overflows.
+Every function here rejects with DomainError a coupling of the wrong class
+and the drives that a sweep rejects: a non-finite delta, s0 or s, a
+negative s0, and a delta or s0 so large that 1 + 4 delta^2 or (1 + s)^2
+overflows.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     PoleError,
     UndefinedRatioError,
     _check_real,
+    _check_type,
 )
 
 __all__ = list(_EXPORTS["phase"])
@@ -122,6 +124,12 @@ def _weight(omega_n, eta):
     return 2.0 * omega_n * _pow(eta, 2.0)
 
 
+def _symmetric_weight(coupling: SymmetricCoupling) -> float:
+    """2 omega_n eta^2 of a SymmetricCoupling; any other object is refused."""
+    _check_type("coupling", coupling, SymmetricCoupling)
+    return _weight(coupling.omega_n, coupling.eta)
+
+
 def _cross_weight(omega_n, eta, omega_n_prime, eta_prime):
     return 2.0 * _sqrt(omega_n * omega_n_prime) * eta * eta_prime
 
@@ -173,7 +181,7 @@ def phase_symmetric(coupling: SymmetricCoupling, delta: float, s0: float) -> Pha
     vanishes and DegenerateResultError is raised instead of a silent zero.
     """
     lorentz, s = detuned_drive(delta, s0)
-    weight = _weight(coupling.omega_n, coupling.eta)
+    weight = _symmetric_weight(coupling)
     return _assemble(_real_part(lorentz, s, weight), _imag_part(weight, delta))
 
 
@@ -185,6 +193,7 @@ def phase_asymmetric(coupling: AsymmetricCoupling, delta: float, s0: float) -> P
               - 4 i sqrt(omega_n omega_n') eta eta' delta]
     """
     lorentz, s = detuned_drive(delta, s0)
+    _check_type("coupling", coupling, AsymmetricCoupling)
     _check_transmission(coupling.p)
     cross = _cross_weight(coupling.omega_n, coupling.eta,
                           coupling.omega_n_prime, coupling.eta_prime)
@@ -195,7 +204,7 @@ def resonance_branch(coupling: SymmetricCoupling, s0: float) -> PhaseBranch:
     """On-resonance branch: PI iff 2 omega_n eta^2 > (1+s0)^(3/2), ZERO iff
     smaller, BOUNDARY at exact equality."""
     # at delta = 0 the real part has the sign of (1+s0)^(3/2) - 2 omega_n eta^2
-    real = _real_part(*detuned_drive(0.0, s0), _weight(coupling.omega_n, coupling.eta))
+    real = _real_part(*detuned_drive(0.0, s0), _symmetric_weight(coupling))
     return _BRANCHES[_branch_code(real, 0.0)]
 
 
@@ -209,7 +218,7 @@ def critical_saturation(coupling: SymmetricCoupling) -> Optional[float]:
     s0 >= s* + 2 ulp(1 + s*).  In between, and at s* itself, either branch
     or BOUNDARY may come out.
     """
-    weight = _weight(coupling.omega_n, coupling.eta)
+    weight = _symmetric_weight(coupling)
     if weight < 1.0:
         return None
     return weight ** (2.0 / 3.0) - 1.0
@@ -230,7 +239,7 @@ def dispersive_phase_arctan(coupling: SymmetricCoupling, delta: float, s0: float
     if abs(delta) < 0.5:
         raise DomainError(
             f"the arctan form requires |delta| >= 0.5, got {delta!r}")
-    weight = _weight(coupling.omega_n, coupling.eta)
+    weight = _symmetric_weight(coupling)
     real = _real_part(lorentz, s, weight)
     if real == 0.0:
         return math.copysign(0.5 * math.pi, _imag_part(weight, delta))
@@ -246,7 +255,7 @@ def kerr_linear_phase(coupling: SymmetricCoupling, delta: float) -> float:
     Raises PoleError when the denominator vanishes.
     """
     lorentz, s = detuned_drive(delta, 0.0)
-    weight = _weight(coupling.omega_n, coupling.eta)
+    weight = _symmetric_weight(coupling)
     denom = _real_part(lorentz, s, weight)
     if denom == 0.0:
         raise PoleError(KERR_POLE_MESSAGE)
@@ -282,7 +291,7 @@ def kerr_relative_error(coupling: SymmetricCoupling, delta: float, s: float) -> 
     _check_real("delta", delta)
     # checked as the sweep checks a fixed s: through s0 = s (1 + 4 delta^2)
     lorentz, _ = detuned_drive(delta, _drive_terms(delta, "s", s)[1])
-    weight = _weight(coupling.omega_n, coupling.eta)
+    weight = _symmetric_weight(coupling)
     real = _real_part(lorentz, s, weight)
     if real == 0.0:
         raise PoleError("the dispersive reference phase has a pole here")

@@ -31,16 +31,18 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import islice, repeat
 from operator import attrgetter, index
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _EXPORTS
 from .atom import _coherent_fraction, _drive_terms, _power_ratio, detuned_drive
-from .errors import DegenerateResultError, DomainError, PoleError, _check_real
+from .errors import DegenerateResultError, DomainError, PoleError, _check_real, _check_type
 from .phase import (
     KERR_POLE_MESSAGE,
     NULL_FIELD_MESSAGE,
@@ -145,6 +147,8 @@ class SweepSpec:
         if self.var not in SWEEP_VARIABLES:
             raise DomainError(
                 f"unknown sweep variable {self.var!r}; expected one of {SWEEP_VARIABLES}")
+        _check_type("range", self.range, SweepRange)
+        _check_type("fixed", self.fixed, Mapping)
         _check_fixed_names(self.fixed)
         for name, value in self.fixed.items():
             _check_real(f"fixed {name}", value)
@@ -180,11 +184,7 @@ def _check_model(model: str) -> type:
 
 
 def _check_model_coupling(model: str, coupling: Coupling) -> None:
-    coupling_type = _check_model(model)
-    if not isinstance(coupling, coupling_type):
-        name = coupling_type.__name__
-        article = "an" if name[0] in "AEIOU" else "a"
-        raise DomainError(f"model {model!r} requires {article} {name}")
+    _check_type(f"coupling of model {model!r}", coupling, _check_model(model))
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,7 @@ _TEXT = tuple(field.type == "str" for field in fields(ResultRow))
 
 
 def row_to_dict(row: ResultRow) -> Dict[str, object]:
+    _check_type("row", row, ResultRow)
     return dict(zip(CSV_COLUMNS, _row_values(row)))
 
 
@@ -346,6 +347,7 @@ def _sweep_rows(spec: SweepSpec) -> Iterator[list]:
     Only the grid spans the whole sweep; a fixed delta or drive stays one
     number.
     """
+    _check_type("spec", spec, SweepSpec)
     values = spec.range._array()
     var, fixed, coupling = spec.var, spec.fixed, spec.coupling
     if var in ("omega_n", "eta"):
@@ -426,15 +428,22 @@ def _format_value(value) -> str:
 def _json_value(value) -> str:
     try:
         return json.dumps(value, allow_nan=False)
-    except ValueError:
+    except (TypeError, ValueError):   # not a JSON type, or not finite
         raise DomainError(f"JSON has no spelling for the value {value!r}") from None
 
 
 def _row_chunks(rows: Iterable[ResultRow]) -> Iterator[list]:
     """Column chunks (see _chunks) of ResultRows; every column is a list."""
+    _check_type("rows", rows, Iterable)
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield [list(column) for column in zip(*map(_row_values, chunk))]
+        try:
+            values = list(map(_row_values, chunk))
+        except AttributeError:   # an object that is not a row
+            for row in chunk:
+                _check_type("row", row, ResultRow)
+            raise
+        yield [list(column) for column in zip(*values)]
 
 
 def _tuples(chunks: Iterable[list]) -> Iterator[tuple]:
@@ -494,30 +503,53 @@ def _json_placeholder(values: list, is_text: bool) -> Optional[str]:
         return None
 
 
+def _row_placeholder(placeholder: Callable[[list, bool], Optional[str]],
+                     values: list, is_text: bool) -> Optional[str]:
+    """``placeholder`` for a caller's rows: a number column of anything but
+    built-in floats (a bool or numpy float, which %r does not spell as
+    json.dumps does) is spelled value by value.  The kernel's are floats."""
+    if is_text or set(map(type, values)) == {float}:
+        return placeholder(values, is_text)
+    return None
+
+
+def _check_comments(comments: Sequence[str]) -> None:
+    # one '#' line each: a line break would start a data line
+    _check_type("comments", comments, tuple, list)
+    for comment in comments:
+        _check_type("comment", comment, str)
+        if "\n" in comment or "\r" in comment:
+            raise DomainError(f"a comment must be one line, got {comment!r}")
+
+
 def _write_csv(write: Callable[[str], object], chunks: Iterable[list],
-               comments: Sequence[str] = ()) -> None:
+               comments: Sequence[str] = (),
+               placeholder: Callable[[list, bool], Optional[str]] = _csv_placeholder) -> None:
     """Write CSV from column chunks (see _chunks), one '#' line per comment."""
     write("".join(f"# {comment}\n" for comment in comments) + ",".join(CSV_COLUMNS) + "\n")
     for columns in chunks:
-        write("".join(_render(columns, _csv_placeholder, _format_value, _csv_line)))
+        write("".join(_render(columns, placeholder, _format_value, _csv_line)))
 
 
-def _write_json(write: Callable[[str], object], chunks: Iterable[list]) -> None:
+def _write_json(write: Callable[[str], object], chunks: Iterable[list],
+                placeholder: Callable[[list, bool], Optional[str]] = _json_placeholder) -> None:
     """Write the bytes of json.dumps([row objects], indent=2) + '\\n' from
     column chunks (see _chunks).  A NaN or infinite value raises DomainError
     before its chunk is written."""
     opening = "[\n"
     for columns in chunks:
-        write(opening + ",\n".join(_render(columns, _json_placeholder, _json_value,
-                                             _json_object)))
+        write(opening + ",\n".join(_render(columns, placeholder, _json_value, _json_object)))
         opening = ",\n"
     write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def rows_to_csv(rows: Sequence[ResultRow], comments: Sequence[str] = ()) -> str:
-    """Render rows as deterministic CSV, one optional '#' comment per line."""
+    """Render rows as deterministic CSV, one '#' line per comment (a tuple
+    or list of strings without line breaks)."""
+    _check_comments(comments)
     out = io.StringIO()
-    _write_csv(out.write, _row_chunks(rows), comments)
+    _write_csv(out.write, _row_chunks(rows), comments,
+               partial(_row_placeholder, _csv_placeholder))
     return out.getvalue()
 
 
@@ -526,7 +558,7 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
     json.dumps(..., indent=2) prints.  The JSON is strict: a NaN or
     infinite field raises DomainError."""
     out = io.StringIO()
-    _write_json(out.write, _row_chunks(rows))
+    _write_json(out.write, _row_chunks(rows), partial(_row_placeholder, _json_placeholder))
     return out.getvalue()
 
 
@@ -536,12 +568,15 @@ def write_sweep(spec: SweepSpec, write: Callable[[str], object], format: str = "
 
     Every point is checked before the first call to ``write``, so a sweep
     that fails writes nothing; the rows are then computed, rendered and
-    written chunk by chunk.  CSV starts with one '#' line per comment.
-    JSON has no comments: comments with format "json" raise DomainError,
-    as does a NaN or infinite value, before its chunk is written.
+    written chunk by chunk.  CSV starts with one '#' line per comment, of a
+    tuple or list of strings without line breaks.  JSON has no comments:
+    comments with format "json" raise DomainError, as does a NaN or
+    infinite value, before its chunk is written.
     """
+    _check_type("write", write, Callable)
     if format not in ("csv", "json"):
         raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
+    _check_comments(comments)
     if format == "json" and comments:
         raise DomainError("JSON output cannot carry comments")
     chunks = _sweep_rows(spec)

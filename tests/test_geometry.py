@@ -1630,8 +1630,10 @@ def test_finite_or_refused(name, data):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: ConeAperture(1.0, "axial"), DomainError, "orientation must be a DipoleOrientation"),
-    (lambda: BeamProfile(kind="custom"), DomainError, "requires a callable"),
-    (lambda: overlap_eta(FLAT, "mirror"), DomainError, "geometry must be"),
+    (lambda: BeamProfile(kind="custom"), DomainError,
+     "^custom profile func must be a Callable, got None$"),
+    (lambda: overlap_eta(FLAT, "mirror"), DomainError,
+     "^geometry must be a ParabolicMirror or a ConeAperture, got 'mirror'$"),
     (lambda: overlap_eta("flattop", HOLED), DomainError,
      "profile must be a BeamProfile, got 'flattop'"),
     (lambda: recollimation_parameters(HOLED, None), DomainError,

@@ -113,7 +113,8 @@ class TestSweepSpecValidation:
 
     def test_asymmetric_model_needs_asymmetric_coupling(self):
         with pytest.raises(DomainError,
-                           match=r"^model 'asymmetric' requires an AsymmetricCoupling$"):
+                           match=r"^coupling of model 'asymmetric' must be an AsymmetricCoupling, "
+                                 r"got SymmetricCoupling\(omega_n=1\.0, eta=1\.0\)$"):
             SweepSpec(model="asymmetric", coupling=FULL, var="delta",
                       range=SweepRange(0.0, 1.0, 3), fixed={"s0": 0.0})
 
@@ -262,6 +263,14 @@ class TestSerialization:
         assert set(payload[0]) == set(CSV_COLUMNS)
         assert payload[0]["model"] == "symmetric"
 
+    def test_json_spells_numpy_floats_and_bools_as_json_dumps(self):
+        # %r once wrote "swept_value": np.float64(1.5) and "delta": True
+        row = ResultRow(**{**row_to_dict(evaluate_point("symmetric", FULL, -1.0, 0.1)),
+                           "swept_value": np.float64(1.5), "delta": True})
+        text = rows_to_json([row])
+        assert text == json.dumps([row_to_dict(row)], indent=2) + "\n"
+        assert '"swept_value": 1.5,' in text and '"delta": true,' in text
+
     def test_deterministic_output(self):
         a = rows_to_csv(run_sweep(spec_delta(count=101, s0=0.3)))
         b = rows_to_csv(run_sweep(spec_delta(count=101, s0=0.3)))
@@ -349,7 +358,9 @@ class TestEvaluatePoint:
     def test_model_coupling_mismatch(self):
         for model in ("symmetric", "kerr"):
             with pytest.raises(DomainError,
-                               match=rf"^model '{model}' requires a SymmetricCoupling$"):
+                               match=rf"^coupling of model '{model}' must be a SymmetricCoupling, got "
+                                     r"AsymmetricCoupling\(omega_n=0\.9, eta=0\.9, "
+                                     r"omega_n_prime=0\.9, eta_prime=0\.9, p=1\.0\)$"):
                 evaluate_point(model,
                                AsymmetricCoupling(0.9, 0.9, 0.9, 0.9, 1.0),
                                0.0, 0.0)
@@ -390,12 +401,30 @@ class TestWriteSweep:
         assert out.getvalue() == rows_to_csv(run_sweep(spec), ("a", "b"))
         assert out.getvalue().startswith("# a\n# b\nswept_value,")
 
-    @pytest.mark.parametrize("format, comments", [("json", ("note",)), ("xml", ())])
-    def test_rejected_before_a_byte(self, format, comments):
+    @pytest.mark.parametrize("format, comments, message", [
+        ("json", ("note",), "^JSON output cannot carry comments$"),
+        ("xml", (), "^format must be 'csv' or 'json', got 'xml'$"),
+        # once "# a" and "# b", a data line "b", and a TypeError
+        ("csv", "ab", "^comments must be a tuple or a list, got 'ab'$"),
+        ("csv", ("a\nb",), r"^a comment must be one line, got 'a\\nb'$"),
+        ("csv", ["a", "b\r"], r"^a comment must be one line, got 'b\\r'$"),
+        ("csv", None, "^comments must be a tuple or a list, got None$"),
+        ("json", None, "^comments must be a tuple or a list, got None$"),
+        ("csv", ("a", 3), "^comment must be a str, got 3$"),
+    ], ids=["json-comments0", "xml-comments1", "string", "newline", "carriage-return", "csv-none",
+            "json-none", "not-a-string"])
+    def test_rejected_before_a_byte(self, format, comments, message):
         written = []
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             write_sweep(spec_delta(count=5), written.append, format, comments)
         assert written == []
+
+    @pytest.mark.parametrize("comments", ["ab", ("a\nb",), ("a\rb",), None],
+                             ids=["string", "newline", "carriage-return", "none"])
+    def test_rows_to_csv_refuses_comments(self, comments):
+        row = evaluate_point("symmetric", FULL, -1.0, 0.1)
+        with pytest.raises(DomainError, match="^(comments|a comment) must be "):
+            rows_to_csv([row], comments)
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_failing_point_writes_nothing(self, format):
@@ -581,6 +610,10 @@ numbers = st.one_of(
     st.floats(min_value=-1e-300, max_value=1e-300),          # subnormals
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                      1.7976931348623157e308, -1e300, 1e22, 1e16, 0.1]),
+    # a caller's row may hold numpy floats and bools, which %r does not
+    # spell as json.dumps does
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.booleans(),
 )
 texts = st.one_of(st.sampled_from([b.value for b in PhaseBranch] + list(sweep.MODELS)),
                   st.text(max_size=8))
@@ -621,6 +654,11 @@ class TestStreamedWriters:
            st.lists(st.text(max_size=5), max_size=2))
     def test_csv_equals_per_row_join(self, rows, chunk, comments):
         with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
+            if any("\n" in comment or "\r" in comment for comment in comments):
+                # it would end the '#' line and start a data line
+                with pytest.raises(DomainError, match="^a comment must be one line, got "):
+                    rows_to_csv(rows, comments)
+                return
             text = rows_to_csv(rows, comments)
         assert text == oracles.rows_to_csv(rows, comments)
 
